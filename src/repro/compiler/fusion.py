@@ -156,11 +156,10 @@ def _acc_extent(desc: KernelDescription, acc) -> str:
 def _axis_strips(
     lo_cut: int, hi_cut: int, size: int, lo_check: str, hi_check: str
 ) -> list[tuple[int, int, frozenset[str]]]:
-    """Mirror of ``runtime.vectorized._axis_strips`` (kept compiler-local so
-    the compiler never imports the runtime): three strips with their check
-    sides; an over-wide window (``lo_cut > hi_cut``) collapses the axis to a
-    single both-checked strip, which is always safe because checking a side
-    a coordinate never crosses is the identity mapping."""
+    """Three strips [0,lo_cut)/[lo_cut,hi_cut)/[hi_cut,size) with their
+    check sides; an over-wide window (``lo_cut > hi_cut``) collapses the
+    axis to a single both-checked strip, which is always safe because
+    checking a side a coordinate never crosses is the identity mapping."""
     if lo_cut > hi_cut:
         return [(0, size, frozenset({lo_check, hi_check}))]
     return [
@@ -170,21 +169,24 @@ def _axis_strips(
     ]
 
 
-def _check_subrects(
+def split_region(
     region: tuple[int, int, int, int], width: int, height: int,
-    hx: int, hy: int,
+    x_cuts: tuple[int, int], y_cuts: tuple[int, int],
 ) -> tuple[tuple[int, int, int, int, frozenset[str]], ...]:
-    """Split a stage region by the image-level ISP cuts for extent (hx, hy).
+    """Split ``region`` (x0, x1, y0, y1) by image-level ISP cuts.
 
-    A sub-rectangle's check set says which true image borders its reads may
-    cross; the evaluator refines it per access by offset sign, exactly as
-    the staged nine-region executor does.
+    Columns below ``x_cuts[0]`` check the left border and columns from
+    ``x_cuts[1]`` the right one; ``y_cuts`` does the same for top/bottom.
+    Returns the non-empty (x0, x1, y0, y1, checks) sub-rectangles, rows
+    outer. A sub-rectangle's check set says which true image borders its
+    reads may cross; the evaluator refines it per access by offset sign.
+    This is the one ISP split: fused steps cut at the stage's extent, and
+    the host executor's ``isp`` / ``isp_warp`` variants split the whole
+    image with it (paper Eq. 1 at pixel or warp granularity).
     """
     x0, x1, y0, y1 = region
-    xs = (_axis_strips(hx, width - hx, width, "left", "right")
-          if hx > 0 else [(0, width, frozenset())])
-    ys = (_axis_strips(hy, height - hy, height, "top", "bottom")
-          if hy > 0 else [(0, height, frozenset())])
+    xs = _axis_strips(*x_cuts, width, "left", "right")
+    ys = _axis_strips(*y_cuts, height, "top", "bottom")
     out = []
     for sy0, sy1, cy in ys:
         iy0, iy1 = max(y0, sy0), min(y1, sy1)
@@ -398,7 +400,8 @@ def _schedule_tile(
             FusedStep(
                 stage=i,
                 region=region,
-                subrects=_check_subrects(region, width, height, hx, hy),
+                subrects=split_region(region, width, height,
+                                      (hx, width - hx), (hy, height - hy)),
             )
         )
     return TileSchedule(rect=tile, steps=tuple(steps))
@@ -411,4 +414,5 @@ __all__ = [
     "TileSchedule",
     "cumulative_halos",
     "fuse_descs",
+    "split_region",
 ]

@@ -37,7 +37,6 @@ __all__ = [
     "RTX2080",
     "RTX3080",
     "VEGA64",
-    "WARP_SIZE",
     "LAUNCH_OVERHEAD_US",
     "BlockProfile",
     "CostTable",
@@ -61,12 +60,3 @@ __all__ = [
     "transactions_for",
 ]
 
-
-def __getattr__(name: str):
-    if name == "WARP_SIZE":
-        # Deprecated alias — kept so `from repro.gpu import WARP_SIZE` still
-        # works. The device module's shim owns the DeprecationWarning.
-        from . import device
-
-        return device.WARP_SIZE
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -18,11 +18,6 @@ device instead of a baked-in 32.
 from __future__ import annotations
 
 import dataclasses
-import warnings
-
-#: Deprecated module constant; kept only for old imports. New code must use
-#: ``DeviceSpec.warp_size`` — see the module ``__getattr__`` shim below.
-_DEFAULT_WARP_SIZE = 32
 
 
 @dataclasses.dataclass(frozen=True)
@@ -262,14 +257,3 @@ def get_device(name: str) -> DeviceSpec:
             f"unknown device {name!r}; available: {sorted(DEVICES)}"
         ) from None
 
-
-def __getattr__(name: str):
-    if name == "WARP_SIZE":
-        warnings.warn(
-            "repro.gpu.device.WARP_SIZE is deprecated: warp width is a "
-            "DeviceSpec field now; use device.warp_size",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return _DEFAULT_WARP_SIZE
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -38,9 +38,9 @@ from ..ir.types import DataType
 from .memory import GlobalMemory, transactions_for
 from .profiler import Profiler
 
-#: Deprecated: warp width is a per-device property now (see the module
-#: ``__getattr__`` shim at the bottom). Internal code sizes lane vectors
-#: from the launch's :class:`WarpContext` / the executor's ``warp_size``.
+#: Lane count when no device width is given (NVIDIA's 32). Warp width is a
+#: per-device property: launches size lane vectors from the
+#: :class:`WarpContext` / the executor's ``warp_size``.
 _DEFAULT_WARP_SIZE = 32
 
 #: Safety valve against runaway loops in broken kernels.
@@ -491,16 +491,3 @@ def _apply(instr: Instruction, srcs: list[np.ndarray], mask: np.ndarray) -> np.n
             return np.cos(srcs[0], dtype=np.float32)
     raise SimtError(f"unimplemented opcode {op}")
 
-
-def __getattr__(name: str):
-    if name == "WARP_SIZE":
-        import warnings
-
-        warnings.warn(
-            "repro.gpu.simt.WARP_SIZE is deprecated: warp width follows the "
-            "device now; use DeviceSpec.warp_size / WarpContext.warp_size",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return _DEFAULT_WARP_SIZE
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -18,7 +18,10 @@ def geometric_mean(values: Iterable[float]) -> float:
         raise ValueError("geometric mean of empty sequence")
     if any(v <= 0 for v in vals):
         raise ValueError("geometric mean requires positive values")
-    return math.exp(sum(math.log(v) for v in vals) / len(vals))
+    g = math.exp(sum(math.log(v) for v in vals) / len(vals))
+    # exp(mean(log)) can land a few ulp outside [min, max] (n copies of v
+    # need not give back v); a mean always lies within it.
+    return min(max(g, min(vals)), max(vals))
 
 
 def pearson(xs: Sequence[float], ys: Sequence[float]) -> float:

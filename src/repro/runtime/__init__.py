@@ -9,6 +9,7 @@ from .executor import (
     SimulationResult,
     clear_profile_cache,
     fine_block_classes,
+    launch_stages,
     measure_pipeline,
     profile_kernel,
     run_pipeline_simt,
@@ -27,6 +28,7 @@ from .fused import run_fused, run_pipeline_fused
 from .padding import PaddingEstimate, measure_padding_kernel, pad_copy_time_us
 from .vectorized import (
     VECTORIZED_VARIANTS,
+    OutOfBoundsError,
     degenerate_geometry,
     run_kernel_vectorized,
     run_pipeline_vectorized,
@@ -38,6 +40,7 @@ __all__ = [
     "FineClass",
     "KernelMeasurement",
     "KernelProfile",
+    "OutOfBoundsError",
     "PipelineMeasurement",
     "SimulationResult",
     "VECTORIZED_VARIANTS",
@@ -45,6 +48,7 @@ __all__ = [
     "clear_profile_cache",
     "degenerate_geometry",
     "fine_block_classes",
+    "launch_stages",
     "make_border",
     "measure_padding_kernel",
     "measure_pipeline",

@@ -4,7 +4,11 @@ Three services on top of the compiler and the GPU simulator:
 
 * :func:`run_pipeline_simt` — full functional SIMT simulation of a pipeline
   (every block of every kernel); used by the correctness tests against the
-  NumPy references. Feasible for small images.
+  NumPy references. Feasible for small images. It runs on
+  :func:`launch_stages`, the one runner that sizes simulated memory, writes
+  the inputs and launches a list of compiled kernels — staged or fused —
+  for every full simulation (the serve plans' ``execute_simt`` and the
+  sanitizer's differential use it too).
 * :func:`profile_pipeline` / :func:`measure_pipeline` — *representative-block
   profiling*: the grid is partitioned into fine block classes (one class per
   distinct border row/column combination, interior collapsed), exactly one
@@ -23,6 +27,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import threading
 import time
 from typing import Optional
 
@@ -30,6 +35,7 @@ import numpy as np
 
 from ..compiler.driver import CompiledKernel, compile_kernel
 from ..compiler.frontend import KernelDescription, trace_kernel
+from ..compiler.fusion_simt import CompiledFusedKernel
 from ..compiler.isp import Variant
 from ..compiler.regions import Region, RegionGeometry
 from ..dsl.pipeline import Pipeline
@@ -43,6 +49,7 @@ from ..gpu.launch import LaunchConfig, launch
 from ..gpu.timing import TimingEstimate, estimate_time
 from ..ir.types import DataType
 from ..trace import core as _trace_core
+from .vectorized import _bind_inputs
 
 # ---------------------------------------------------------------------------
 # Functional SIMT simulation
@@ -51,15 +58,83 @@ from ..trace import core as _trace_core
 
 @dataclasses.dataclass
 class SimulationResult:
-    """Outcome of a functional pipeline simulation."""
+    """Outcome of a functional pipeline simulation: every input and
+    produced image by name, the launched kernels, and one profiler per
+    launch (``None`` for an unprofiled one)."""
 
     images: dict[str, np.ndarray]
-    compiled: list[CompiledKernel]
-    profilers: list[Profiler]
+    compiled: list[CompiledKernel | CompiledFusedKernel]
+    profilers: list[Optional[Profiler]]
 
     @property
     def output(self) -> np.ndarray:
         return self.images["out"]
+
+
+def launch_stages(
+    stages: list[tuple[str, str, CompiledKernel | CompiledFusedKernel]],
+    inputs: dict[str, np.ndarray],
+    *,
+    device: Optional[DeviceSpec] = None,
+    memory_bytes: Optional[int] = None,
+    shadow: bool = False,
+    abort: Optional[threading.Event] = None,
+) -> SimulationResult:
+    """Launch compiled kernels back to back on one simulated memory.
+
+    ``stages`` lists ``(name, variant, kernel)`` in launch order. Each
+    kernel — a :class:`CompiledKernel` or a fused megakernel — writes the
+    image ``kernel.desc.output_name``, which later kernels may read. Memory
+    holds the inputs plus one output per kernel, sized to fit unless
+    ``memory_bytes`` is given; ``shadow`` runs it in shadow-OOB mode (see
+    :class:`repro.gpu.memory.GlobalMemory`). With ``device``, every launch
+    runs under its own :class:`Profiler` on that device's cost table and,
+    when tracing, records a ``launch:<name>`` span carrying ``variant`` and
+    the profiler's counters; without one, kernels launch unprofiled.
+    ``abort`` is polled by the warp interpreter.
+    """
+    kernels = [k for _, _, k in stages]
+    if memory_bytes is None:
+        n_images = len(kernels) + len(inputs)
+        px = max(k.desc.width * k.desc.height for k in kernels)
+        slack = (n_images + 2) * 256 + 4096  # alignment + shadow redzones
+        memory_bytes = 1 << max(
+            16, math.ceil(math.log2((n_images + 2) * px * 4 + slack))
+        )
+    mem = GlobalMemory(memory_bytes, shadow=shadow)
+
+    images = dict(inputs)
+    bases: dict[str, int] = {}
+    for name, arr in images.items():
+        bases[name] = mem.alloc(arr.size * 4)
+        mem.write_array(bases[name], arr)
+
+    profilers: list[Optional[Profiler]] = []
+    for name, variant, k in stages:
+        desc = k.desc
+        bases[desc.output_name] = mem.alloc(desc.width * desc.height * 4)
+        prof = Profiler(cost_table_for(device)) if device is not None else None
+        t_launch = time.perf_counter()
+        launch(k.func, k.launch_config, mem, k.param_values(bases), prof,
+               abort=abort)
+        if prof is not None and _trace_core._current is not None:
+            ctx = _trace_core.current_context()
+            if ctx is not None:
+                tracer, parent = ctx
+                tracer.record_span(
+                    f"launch:{name}", parent,
+                    t_launch, time.perf_counter(),
+                    variant=variant,
+                    warp_instructions=prof.warp_instructions,
+                    regions=prof.region_totals(),
+                    events=prof.event_totals(),
+                )
+        images[desc.output_name] = mem.read_array(
+            bases[desc.output_name], (desc.height, desc.width), DataType.F32
+        )
+        profilers.append(prof)
+    return SimulationResult(images=images, compiled=kernels,
+                            profilers=profilers)
 
 
 def run_pipeline_simt(
@@ -79,31 +154,10 @@ def run_pipeline_simt(
     out-of-bounds border access traps even when it would land inside another
     image's buffer (see :class:`repro.gpu.memory.GlobalMemory`).
     """
-    images: dict[str, np.ndarray] = {}
-    for img in pipeline.inputs:
-        if inputs is not None and img.name in inputs:
-            images[img.name] = np.asarray(inputs[img.name], dtype=np.float32)
-        else:
-            images[img.name] = img.host
-
-    descs = [trace_kernel(k) for k in pipeline]
-    if memory_bytes is None:
-        n_images = len(descs) + len(images)
-        px = max(d.width * d.height for d in descs)
-        slack = (n_images + 2) * 256 + 4096  # alignment + shadow redzones
-        memory_bytes = 1 << max(
-            16, math.ceil(math.log2((n_images + 2) * px * 4 + slack))
-        )
-    mem = GlobalMemory(memory_bytes, shadow=shadow_oob)
-
-    bases: dict[str, int] = {}
-    for name, arr in images.items():
-        bases[name] = mem.alloc(arr.size * 4)
-        mem.write_array(bases[name], arr)
-
-    compiled: list[CompiledKernel] = []
-    profilers: list[Profiler] = []
-    for desc in descs:
+    images = _bind_inputs(pipeline, inputs)
+    stages = []
+    for kernel in pipeline:
+        desc = trace_kernel(kernel)
         if _faults._current is not None:
             # Fault point: per-kernel SIMT launch — "latency" models a
             # co-tenant stall, "error" a failed launch.
@@ -114,29 +168,9 @@ def run_pipeline_simt(
                 else:
                     raise FaultError("runtime.executor.kernel", act.kind)
         ck = compile_kernel(desc, variant=variant, block=block, device=device)
-        out_base = mem.alloc(desc.width * desc.height * 4)
-        bases[desc.output_name] = out_base
-        prof = Profiler(cost_table_for(device))
-        t_launch = time.perf_counter()
-        launch(ck.func, ck.launch_config, mem, ck.param_values(bases), prof)
-        if _trace_core._current is not None:
-            ctx = _trace_core.current_context()
-            if ctx is not None:
-                tracer, parent = ctx
-                tracer.record_span(
-                    f"launch:{desc.name}", parent,
-                    t_launch, time.perf_counter(),
-                    variant=ck.effective_variant.value,
-                    warp_instructions=prof.warp_instructions,
-                    regions=prof.region_totals(),
-                    events=prof.event_totals(),
-                )
-        images[desc.output_name] = mem.read_array(
-            out_base, (desc.height, desc.width), DataType.F32
-        )
-        compiled.append(ck)
-        profilers.append(prof)
-    return SimulationResult(images=images, compiled=compiled, profilers=profilers)
+        stages.append((desc.name, ck.effective_variant.value, ck))
+    return launch_stages(stages, images, device=device,
+                         memory_bytes=memory_bytes, shadow=shadow_oob)
 
 
 # ---------------------------------------------------------------------------

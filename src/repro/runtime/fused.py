@@ -3,14 +3,16 @@
 Replays the geometry-only schedule built by
 :func:`repro.compiler.fusion.fuse_descs`: for each output tile, every live
 stage evaluates just the region its consumers read into a small per-tile
-buffer, so no full-image intermediate is ever materialized. Check-free
-sub-rectangles run the pure-slice Body code shape; sub-rectangles touching a
-true image border run the same vectorized border mapping
-(:func:`~repro.runtime.vectorized._map_axis`) as the staged nine-region
-executor, which is what makes fused output bit-exact against staged — both
-select source pixels through the identical mapping, and every arithmetic
-node is an elementwise float32 NumPy op whose value is independent of the
-evaluation footprint.
+buffer, so no full-image intermediate is ever materialized. Each step is one
+more set of rectangles for the staged executor's region evaluator
+(:mod:`repro.runtime.vectorized`): a stage's taps read each per-tile buffer
+as a source whose origin is that buffer's region origin, and external
+inputs as full images at origin (0, 0). Border mapping runs against the
+full image size through the same vectorized mapping as the staged
+nine-region executor, which is what makes fused output bit-exact against
+staged — both select source pixels through the identical mapping, and every
+arithmetic node is an elementwise float32 NumPy op whose value is
+independent of the evaluation footprint.
 
 Like every other executor here, the fused path is batch-aware: leading axes
 on the external inputs carry through each per-tile buffer untouched.
@@ -25,79 +27,9 @@ import numpy as np
 
 from ..compiler.frontend import trace_kernel
 from ..compiler.fusion import FusedPlan, fuse_descs
-from ..dsl.boundary import Boundary
-from ..dsl.expr import PixelAccess
 from ..dsl.pipeline import Pipeline
 from ..trace import core as _trace_core
-from .vectorized import _map_axis, _RegionEvaluator, _RegionRect
-
-
-class _FusedEvaluator(_RegionEvaluator):
-    """Region evaluator reading from offset per-tile stage buffers.
-
-    ``bufs`` maps image name -> (array, ox, oy): the buffer holds image
-    rows/cols ``[oy, oy+bh) x [ox, ox+bw)``. External inputs are full
-    images at offset (0, 0). Border mapping always runs against the *full*
-    image dimensions (every pipeline image shares the iteration-space
-    geometry), then translates into buffer coordinates; the fusion pass
-    guarantees the producer buffer hulls every mapped coordinate.
-    """
-
-    def __init__(self, desc, bufs, dims, rect: _RegionRect):
-        super().__init__(desc, {}, rect)
-        self.bufs = bufs
-        self.dims = dims
-
-    def _eval_access(self, access: PixelAccess) -> np.ndarray:
-        acc = access.accessor
-        arr, ox, oy = self.bufs[acc.image.name]
-        w, h = self.dims
-        rect = self.rect
-        boundary = acc.boundary
-
-        check_left = "left" in rect.checks and access.dx < 0
-        check_right = "right" in rect.checks and access.dx > 0
-        check_top = "top" in rect.checks and access.dy < 0
-        check_bottom = "bottom" in rect.checks and access.dy > 0
-
-        if not any((check_left, check_right, check_top, check_bottom)):
-            y0 = rect.y0 + access.dy - oy
-            y1 = rect.y1 + access.dy - oy
-            x0 = rect.x0 + access.dx - ox
-            x1 = rect.x1 + access.dx - ox
-            # Negative slice bounds would silently wrap to the buffer's far
-            # side; the fusion pass must have hulled every in-bounds read.
-            assert (0 <= y0 and y1 <= arr.shape[-2]
-                    and 0 <= x0 and x1 <= arr.shape[-1]), (
-                f"fused buffer under-covers {access!r}: "
-                f"[{y0}:{y1}, {x0}:{x1}] in {arr.shape[-2:]}"
-            )
-            return arr[..., y0:y1, x0:x1]
-
-        xs = np.arange(rect.x0 + access.dx, rect.x1 + access.dx)
-        ys = np.arange(rect.y0 + access.dy, rect.y1 + access.dy)
-        xs, vx = _map_axis(xs, w, boundary, check_left, check_right)
-        ys, vy = _map_axis(ys, h, boundary, check_top, check_bottom)
-        xs = xs - ox
-        ys = ys - oy
-        if boundary is not Boundary.UNDEFINED:
-            assert xs.size == 0 or (
-                xs.min() >= 0 and xs.max() < arr.shape[-1]
-            ), f"{boundary.value} fused x-mapping outside buffer for {access!r}"
-            assert ys.size == 0 or (
-                ys.min() >= 0 and ys.max() < arr.shape[-2]
-            ), f"{boundary.value} fused y-mapping outside buffer for {access!r}"
-        values = arr[..., ys[:, None], xs[None, :]]
-        if vx is not None or vy is not None:
-            valid = np.ones((ys.size, xs.size), dtype=bool)
-            if vy is not None:
-                valid &= vy[:, None]
-            if vx is not None:
-                valid &= vx[None, :]
-            values = np.where(
-                valid, values, np.float32(acc.constant)
-            ).astype(np.float32)
-        return values
+from .vectorized import Source, _bind_inputs, _check_inputs, _eval_rects
 
 
 def run_fused(
@@ -111,48 +43,28 @@ def run_fused(
         trace_ctx = _trace_core.current_context()
     t_start = time.perf_counter() if trace_ctx is not None else 0.0
 
-    w, h = plan.width, plan.height
-    lead: Optional[tuple[int, ...]] = None
-    ext: dict[str, np.ndarray] = {}
-    for name in plan.external_inputs:
-        if name not in images:
-            raise ValueError(f"fused plan missing external input {name!r}")
-        img = np.asarray(images[name], dtype=np.float32)
-        if img.shape[-2:] != (h, w):
-            raise ValueError(
-                f"input {name!r} shape {img.shape} != (..., {h}, {w})"
-            )
-        if lead is None:
-            lead = img.shape[:-2]
-        elif img.shape[:-2] != lead:
-            raise ValueError(
-                f"inconsistent batch shapes across inputs: {lead} vs "
-                f"{img.shape[:-2]} for {name!r}"
-            )
-        ext[name] = img
-    if lead is None:
-        lead = ()
+    external = set(plan.external_inputs)
+    lead = _check_inputs(
+        [acc for d in plan.descs for acc in d.accessors
+         if acc.image.name in external],
+        images,
+    )
+    ext: dict[str, Source] = {
+        name: (np.asarray(images[name], dtype=np.float32), 0, 0)
+        for name in plan.external_inputs
+    }
 
-    out = np.empty((*lead, h, w), dtype=np.float32)
-    final = plan.output_name
-    dims = (w, h)
+    out = np.empty((*lead, plan.height, plan.width), dtype=np.float32)
     for tile in plan.tiles:
-        bufs: dict[str, tuple[np.ndarray, int, int]] = {
-            name: (img, 0, 0) for name, img in ext.items()
-        }
+        bufs = dict(ext)
         for step in tile.steps:
             desc = plan.descs[step.stage]
             rx0, rx1, ry0, ry1 = step.region
             buf = np.empty((*lead, ry1 - ry0, rx1 - rx0), dtype=np.float32)
-            for sx0, sx1, sy0, sy1, checks in step.subrects:
-                rect = _RegionRect(sx0, sx1, sy0, sy1, checks)
-                ev = _FusedEvaluator(desc, bufs, dims, rect)
-                value = ev.eval(desc.expr)
-                buf[..., sy0 - ry0 : sy1 - ry0, sx0 - rx0 : sx1 - rx0] = (
-                    np.broadcast_to(value, (*lead, sy1 - sy0, sx1 - sx0))
-                )
+            sources = {id(acc): bufs[acc.image.name] for acc in desc.accessors}
+            _eval_rects(desc, sources, step.subrects, buf, rx0, ry0)
             bufs[desc.output_name] = (buf, rx0, ry0)
-        fbuf, fx, fy = bufs[final]
+        fbuf, fx, fy = bufs[plan.output_name]
         tx0, tx1, ty0, ty1 = tile.rect
         out[..., ty0:ty1, tx0:tx1] = fbuf[
             ..., ty0 - fy : ty1 - fy, tx0 - fx : tx1 - fx
@@ -189,13 +101,7 @@ def run_pipeline_fused(
             descs, tile_rows=tile_rows, tile_cols=tile_cols,
             name=pipeline.name,
         )
-    images: dict[str, np.ndarray] = {}
-    for img in pipeline.inputs:
-        if inputs is not None and img.name in inputs:
-            images[img.name] = np.asarray(inputs[img.name], dtype=np.float32)
-        else:
-            images[img.name] = img.host
-    return run_fused(plan, images)
+    return run_fused(plan, _bind_inputs(pipeline, inputs))
 
 
 __all__ = ["run_fused", "run_pipeline_fused"]

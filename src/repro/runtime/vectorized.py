@@ -2,24 +2,35 @@
 
 This is the second execution path of DESIGN.md: it evaluates the *same*
 kernel description the compiler lowers, but with whole-array NumPy operations
-on the host. Two variants mirror the GPU code shapes:
+on the host. Every variant runs the one region evaluator
+(:class:`_RegionEvaluator`) over a list of output rectangles, each carrying
+the border sides its taps may cross; the variants differ only in the
+rectangles and in the *source* each tap reads — a buffer plus the image
+coordinates of its origin:
 
-* ``naive`` — every tap's coordinates go through the full border mapping
-  (``np.clip`` / modulo / reflection over the entire coordinate range), the
-  host analogue of executing the checks for every pixel;
+* ``naive`` — one rectangle with every check: each tap's coordinates go
+  through the full border mapping (``np.clip`` / modulo / reflection over
+  the entire coordinate range), the host analogue of executing the checks
+  for every pixel;
 * ``isp`` — the iteration space is partitioned at *pixel* granularity into
-  the nine regions (the CPU partitioning of paper Section III-C, Eq. 1); the
-  Body region evaluates with pure slicing — no index mapping at all — and
-  only the thin border strips pay for the mapping;
+  the nine regions (the CPU partitioning of paper Section III-C, Eq. 1,
+  split by :func:`repro.compiler.fusion.split_region`); the Body region
+  evaluates with pure slicing — no index mapping at all — and only the thin
+  border strips pay for the mapping;
 * ``isp_warp`` — the nine regions with warp-aligned x cuts (paper
   Listing 5's granularity);
 * ``prepad`` — the raw-speed tier: :func:`repro.runtime.make_border
-  .make_border` materializes the apron once, then the single check-free
-  Body evaluator runs over the whole padded image with offset coordinates.
-  The copy is O(area) but amortizes across taps, pipeline stages (one
-  ``pad_cache`` shared across calls) and repeated same-image requests —
-  exactly the serve workload where the paper's "padding is costly" framing
-  (Section I) inverts.
+  .make_border` materializes the apron once, then one check-free rectangle
+  reads the padded buffer, whose origin sits at image coordinates
+  ``(-hx, -hy)``. The copy is O(area) but amortizes across taps, pipeline
+  stages (one ``pad_cache`` shared across calls) and repeated same-image
+  requests — exactly the serve workload where the paper's "padding is
+  costly" framing (Section I) inverts.
+
+The fused executor (:mod:`repro.runtime.fused`) drives the same evaluator
+over per-tile stage buffers. Every read is bounds-checked against its
+source buffer and a read outside raises :class:`OutOfBoundsError` — a plain
+check, so it holds under ``python -O`` as well.
 
 Because the border strips are O(perimeter) while the body is O(area), the
 host speedup of ``isp`` over ``naive`` grows with image size exactly like the
@@ -34,13 +45,14 @@ serve engine stacks same-signature requests into.
 
 from __future__ import annotations
 
-import dataclasses
 import time
-from typing import Optional
+from typing import Iterable, Optional
 
 import numpy as np
 
 from ..compiler.frontend import KernelDescription, trace_kernel
+from ..compiler.fusion import split_region
+from ..dsl.accessor import Accessor
 from ..dsl.boundary import Boundary
 from ..faults import core as _faults
 from ..faults.core import FaultError
@@ -71,20 +83,22 @@ _BIN_FUNCS = {
     "max": np.maximum,
 }
 
+#: Output-pixel rectangle ``(x0, x1, y0, y1, checks)``: columns [x0, x1),
+#: rows [y0, y1), and the border sides its taps may cross — the
+#: sub-rectangle form :func:`repro.compiler.fusion.split_region` returns.
+Rect = tuple[int, int, int, int, frozenset]
 
-@dataclasses.dataclass(frozen=True)
-class _RegionRect:
-    """Output-pixel rectangle [x0, x1) x [y0, y1) with its check sides."""
+#: Where a tap reads: ``(buffer, ox, oy)`` — the buffer's element
+#: ``[..., 0, 0]`` holds image pixel ``(ox, oy)``.
+Source = tuple[np.ndarray, int, int]
 
-    x0: int
-    x1: int
-    y0: int
-    y1: int
-    checks: frozenset[str]
 
-    @property
-    def empty(self) -> bool:
-        return self.x1 <= self.x0 or self.y1 <= self.y0
+class OutOfBoundsError(IndexError):
+    """A tap read fell outside its source buffer.
+
+    NumPy would wrap a negative index to the far side of the buffer instead
+    of failing, so every read is checked before it is indexed.
+    """
 
 
 #: Default warp width (NVIDIA) — the x-granularity of the warp-grained
@@ -105,8 +119,8 @@ def degenerate_geometry(width: int, height: int, hx: int, hy: int) -> bool:
     ``x >= width - hx``, so a both-sided pixel exists iff
     ``width - hx < hx``, i.e. ``width < 2*hx``. The boundary case
     ``width == 2*hx`` is *not* degenerate — the Body strip is empty but
-    every remaining strip is single-sided, which the region evaluators
-    handle exactly (pinned by the ``w in {2hx-1, 2hx, 2hx+1}`` edge tests).
+    every remaining strip is single-sided, which the region evaluator
+    handles exactly (pinned by the ``w in {2hx-1, 2hx, 2hx+1}`` edge tests).
     This is precisely :class:`repro.compiler.regions.RegionGeometry`'s
     ``degenerate`` at block granularity ``(1, 1)``, which is what makes the
     two layers' fallback conditions agree (asserted by
@@ -116,72 +130,36 @@ def degenerate_geometry(width: int, height: int, hx: int, hy: int) -> bool:
     return (hx > 0 and width < 2 * hx) or (hy > 0 and height < 2 * hy)
 
 
-def _axis_strips(
-    lo_cut: int, hi_cut: int, size: int, lo_check: str, hi_check: str
-) -> list[tuple[int, int, frozenset[str]]]:
-    """Three strips [0,lo_cut)/[lo_cut,hi_cut)/[hi_cut,size) with their checks.
+def _variant_rects(
+    variant: str, width: int, height: int, hx: int, hy: int, warp: int
+) -> list[Rect]:
+    """The output rectangles one variant evaluates.
 
-    ``lo_cut > hi_cut`` (over-wide rounding) collapses the axis to a single
-    both-checked strip — always safe, because checking a side a coordinate
-    never crosses is the identity mapping.
+    ``isp`` cuts at the window extent (paper Eq. 1); ``isp_warp`` rounds
+    the x cuts outward to warp multiples — a warp is the granularity at
+    which the GPU dispatch re-routes work (paper Listing 5), so the L/R
+    strips widen to whole warps, whose extra pixels run harmless identity
+    checks, while the Body stays check-free. Both fall back to the naive
+    single rectangle on degenerate geometry, like the compiler.
     """
-    if lo_cut > hi_cut:
-        return [(0, size, frozenset({lo_check, hi_check}))]
-    return [
-        (0, lo_cut, frozenset({lo_check})),
-        (lo_cut, hi_cut, frozenset()),
-        (hi_cut, size, frozenset({hi_check})),
-    ]
-
-
-def _regions_from_cuts(
-    xs: list[tuple[int, int, frozenset[str]]],
-    ys: list[tuple[int, int, frozenset[str]]],
-) -> list[_RegionRect]:
-    rects = []
-    for y0, y1, cy in ys:
-        for x0, x1, cx in xs:
-            rect = _RegionRect(x0, x1, y0, y1, cx | cy)
-            if not rect.empty:
-                rects.append(rect)
-    return rects
-
-
-def _pixel_regions(width: int, height: int, hx: int, hy: int) -> list[_RegionRect]:
-    """Nine pixel-granularity regions (paper Eq. 1 generalized to all sides).
-
-    Requires non-degenerate geometry per :func:`degenerate_geometry` (the
-    pixel-granularity analogue of the compiler's block-granular fallback);
-    the caller falls back to the naive single region otherwise.
-    """
-    if degenerate_geometry(width, height, hx, hy):
-        raise ValueError("degenerate pixel-region geometry")
-    xs = _axis_strips(hx, width - hx, width, "left", "right")
-    ys = _axis_strips(hy, height - hy, height, "top", "bottom")
-    return _regions_from_cuts(xs, ys)
-
-
-def _warp_regions(
-    width: int, height: int, hx: int, hy: int, warp: int = WARP_WIDTH
-) -> list[_RegionRect]:
-    """Warp-grained partitioning (the host analogue of paper Listing 5).
-
-    The x-axis cuts are rounded outward to warp multiples — a warp is the
-    granularity at which the GPU dispatch re-routes work, so the L/R strips
-    widen to whole warps (their extra pixels run harmless identity checks)
-    while the Body stays check-free and every strip spans whole warps. The
-    y-axis keeps pixel granularity, as warps are x-contiguous. Compared to
-    pixel-grained ISP this trades a slightly larger checked area for fewer,
-    aligned region evaluations — the same trade the paper's warp-grained
-    kernels make, which is what gives the autotuner a real three-way choice.
-    """
-    if degenerate_geometry(width, height, hx, hy):
-        raise ValueError("degenerate pixel-region geometry")
-    xl = -(-hx // warp) * warp if hx > 0 else 0
-    xr = ((width - hx) // warp) * warp if hx > 0 else width
-    xs = _axis_strips(xl, xr, width, "left", "right")
-    ys = _axis_strips(hy, height - hy, height, "top", "bottom")
-    return _regions_from_cuts(xs, ys)
+    if variant == "prepad":
+        # No degenerate fallback: the total mappings in make_border handle
+        # any apron depth, over-wide windows included.
+        return [(0, width, 0, height, frozenset())]
+    if variant not in VECTORIZED_VARIANTS:
+        raise ValueError(f"unknown vectorized variant {variant!r}")
+    if variant == "naive" or degenerate_geometry(width, height, hx, hy):
+        checks = set()
+        if hx > 0:
+            checks |= {"left", "right"}
+        if hy > 0:
+            checks |= {"top", "bottom"}
+        return [(0, width, 0, height, frozenset(checks))]
+    x_cuts = (hx, width - hx)
+    if variant == "isp_warp" and hx > 0:
+        x_cuts = (-(-hx // warp) * warp, ((width - hx) // warp) * warp)
+    return list(split_region((0, width, 0, height), width, height,
+                             x_cuts, (hy, height - hy)))
 
 
 def _map_axis(
@@ -244,16 +222,22 @@ def _map_axis(
 
 
 class _RegionEvaluator:
-    """Evaluates the expression tree for one output region."""
+    """Evaluates the expression tree over one output rectangle.
+
+    ``sources`` maps ``id(accessor)`` to the :data:`Source` its taps read.
+    Border mapping always runs against the full image size (every image a
+    kernel reads shares its output geometry), then translates into buffer
+    coordinates.
+    """
 
     def __init__(
         self,
         desc: KernelDescription,
-        images: dict[str, np.ndarray],
-        rect: _RegionRect,
+        sources: dict[int, Source],
+        rect: Rect,
     ):
         self.desc = desc
-        self.images = images
+        self.sources = sources
         self.rect = rect
         self._memo: dict[int, np.ndarray] = {}
 
@@ -298,42 +282,49 @@ class _RegionEvaluator:
         raise TypeError(f"cannot evaluate {expr!r}")
 
     def _eval_access(self, access: PixelAccess) -> np.ndarray:
-        rect = self.rect
-        img = self.images[access.accessor.image.name]
-        h, w = img.shape[-2:]
-        boundary = access.accessor.boundary
+        acc = access.accessor
+        buf, ox, oy = self.sources[id(acc)]
+        bh, bw = buf.shape[-2:]
+        x0, x1, y0, y1, checks = self.rect
+        dx, dy = access.dx, access.dy
 
-        check_left = "left" in rect.checks and access.dx < 0
-        check_right = "right" in rect.checks and access.dx > 0
-        check_top = "top" in rect.checks and access.dy < 0
-        check_bottom = "bottom" in rect.checks and access.dy > 0
+        check_left = dx < 0 and "left" in checks
+        check_right = dx > 0 and "right" in checks
+        check_top = dy < 0 and "top" in checks
+        check_bottom = dy > 0 and "bottom" in checks
 
-        if not any((check_left, check_right, check_top, check_bottom)):
+        if not (check_left or check_right or check_top or check_bottom):
             # Body fast path: a pure slice — the host analogue of the
             # check-free Body region code. The ellipsis carries any leading
             # batch axes through untouched.
-            return img[
-                ...,
-                rect.y0 + access.dy : rect.y1 + access.dy,
-                rect.x0 + access.dx : rect.x1 + access.dx,
-            ]
+            r0, r1 = y0 + dy - oy, y1 + dy - oy
+            c0, c1 = x0 + dx - ox, x1 + dx - ox
+            if r0 < 0 or c0 < 0 or r1 > bh or c1 > bw:
+                raise OutOfBoundsError(
+                    f"{access!r} slices rows [{r0}:{r1}) cols [{c0}:{c1}) "
+                    f"of a {bh}x{bw} source"
+                )
+            return buf[..., r0:r1, c0:c1]
 
-        xs = np.arange(rect.x0 + access.dx, rect.x1 + access.dx)
-        ys = np.arange(rect.y0 + access.dy, rect.y1 + access.dy)
-        xs, vx = _map_axis(xs, w, boundary, check_left, check_right)
-        ys, vy = _map_axis(ys, h, boundary, check_top, check_bottom)
-        if boundary is not Boundary.UNDEFINED:
-            # A mapping applied on one side must never push the coordinate
-            # out the *opposite* side, and an axis the region does not check
-            # must already be in bounds — fancy indexing would silently wrap
-            # a violation to the wrong pixel instead of failing.
-            assert xs.size == 0 or (xs.min() >= 0 and xs.max() < w), (
-                f"{boundary.value} x-mapping out of bounds for {access!r}"
+        boundary = acc.boundary
+        xs, vx = _map_axis(np.arange(x0 + dx, x1 + dx), self.desc.width,
+                           boundary, check_left, check_right)
+        ys, vy = _map_axis(np.arange(y0 + dy, y1 + dy), self.desc.height,
+                           boundary, check_top, check_bottom)
+        if ox:
+            xs = xs - ox
+        if oy:
+            ys = ys - oy
+        # A mapping applied on one side must never push a coordinate out
+        # the *opposite* side, and an unchecked axis must already be in the
+        # buffer.
+        if xs.min() < 0 or xs.max() >= bw or ys.min() < 0 or ys.max() >= bh:
+            raise OutOfBoundsError(
+                f"{boundary.value} mapping of {access!r} reads rows "
+                f"[{ys.min()}, {ys.max()}] cols [{xs.min()}, {xs.max()}] "
+                f"of a {bh}x{bw} source"
             )
-            assert ys.size == 0 or (ys.min() >= 0 and ys.max() < h), (
-                f"{boundary.value} y-mapping out of bounds for {access!r}"
-            )
-        values = img[..., ys[:, None], xs[None, :]]
+        values = buf[..., ys[:, None], xs[None, :]]
         if vx is not None or vy is not None:
             valid = np.ones((ys.size, xs.size), dtype=bool)
             if vy is not None:
@@ -341,42 +332,29 @@ class _RegionEvaluator:
             if vx is not None:
                 valid &= vx[None, :]
             values = np.where(
-                valid, values, np.float32(access.accessor.constant)
+                valid, values, np.float32(acc.constant)
             ).astype(np.float32)
         return values
 
 
-class _PrepadEvaluator(_RegionEvaluator):
-    """The raw-speed tier's evaluator: every access is a pure slice into a
-    pre-padded buffer at offset ``(hx, hy)`` — the check-free Body code
-    shape applied to the *whole* image, which is only sound because
-    :func:`~repro.runtime.make_border.make_border` already materialized
-    every pattern's mapping into the apron.
-    """
-
-    def __init__(
-        self,
-        desc: KernelDescription,
-        pads: dict,
-        rect: _RegionRect,
-    ):
-        super().__init__(desc, {}, rect)
-        self.pads = pads
-        self.hx, self.hy = desc.extent
-
-    def _eval_access(self, access: PixelAccess) -> np.ndarray:
-        acc = access.accessor
-        img = self.pads[(acc.image.name, acc.boundary.value,
-                         float(acc.constant))]
-        rect = self.rect
-        return img[
-            ...,
-            rect.y0 + access.dy + self.hy : rect.y1 + access.dy + self.hy,
-            rect.x0 + access.dx + self.hx : rect.x1 + access.dx + self.hx,
-        ]
+def _eval_rects(
+    desc: KernelDescription,
+    sources: dict[int, Source],
+    rects: Iterable[Rect],
+    out: np.ndarray,
+    ox: int = 0,
+    oy: int = 0,
+) -> None:
+    """Evaluate ``desc`` over each rectangle into ``out``, a buffer whose
+    origin sits at image coordinates ``(ox, oy)``."""
+    for rect in rects:
+        x0, x1, y0, y1, _ = rect
+        out[..., y0 - oy : y1 - oy, x0 - ox : x1 - ox] = _RegionEvaluator(
+            desc, sources, rect
+        ).eval(desc.expr)
 
 
-def _split_rows(rects: list[_RegionRect], tile_rows: int) -> list[_RegionRect]:
+def _split_rows(rects: list[Rect], tile_rows: int) -> list[Rect]:
     """Split tall rectangles into row bands of at most ``tile_rows`` rows.
 
     The checks set of a band equals its parent's (checks depend only on
@@ -387,42 +365,45 @@ def _split_rows(rects: list[_RegionRect], tile_rows: int) -> list[_RegionRect]:
     """
     if tile_rows <= 0:
         raise ValueError("tile_rows must be positive")
-    out = []
-    for rect in rects:
-        for y0 in range(rect.y0, rect.y1, tile_rows):
-            out.append(
-                _RegionRect(
-                    rect.x0, rect.x1, y0, min(y0 + tile_rows, rect.y1), rect.checks
-                )
-            )
-    return out
+    return [
+        (x0, x1, y, min(y + tile_rows, y1), checks)
+        for x0, x1, y0, y1, checks in rects
+        for y in range(y0, y1, tile_rows)
+    ]
 
 
-def _lead_shape(
-    desc: KernelDescription, images: dict[str, np.ndarray]
+def _check_inputs(
+    accessors: Iterable[Accessor], images: dict[str, np.ndarray]
 ) -> tuple[int, ...]:
-    """Common leading (batch) shape of every accessed input.
+    """Validate the inputs ``accessors`` read; return their common leading
+    (batch) shape.
 
-    Plain single-image execution has the empty leading shape; an
-    ``(N, H, W)`` stack leads with ``(N,)``. Mixed leading shapes across
-    inputs are rejected — one kernel call is one batch.
+    Each input must be present, shaped ``(..., H, W)`` with ``(H, W)`` its
+    accessor's declared image geometry, and lead with the same batch shape
+    as every other input — one call is one batch. Plain single-image
+    execution has the empty leading shape; an ``(N, H, W)`` stack leads
+    with ``(N,)``. Every host variant, fused included, validates here once
+    per call.
     """
     lead: Optional[tuple[int, ...]] = None
-    for acc in desc.accessors:
-        img = images[acc.image.name]
+    for acc in accessors:
+        name = acc.image.name
+        if name not in images:
+            raise ValueError(f"missing input {name!r}")
         # rank via shape, not .ndim: the sanitizer's canary wrappers are
         # duck-typed images exposing only shape/__getitem__
-        if len(img.shape) < 2:
+        shape = tuple(images[name].shape)
+        if len(shape) < 2 or shape[-2:] != acc.image.shape:
             raise ValueError(
-                f"input {acc.image.name!r} must be (..., H, W), "
-                f"got shape {img.shape}"
+                f"input {name!r} shape {shape} != (..., "
+                f"{acc.image.height}, {acc.image.width})"
             )
         if lead is None:
-            lead = img.shape[:-2]
-        elif img.shape[:-2] != lead:
+            lead = shape[:-2]
+        elif shape[:-2] != lead:
             raise ValueError(
                 f"inconsistent batch shapes across inputs: {lead} vs "
-                f"{img.shape[:-2]} for {acc.image.name!r}"
+                f"{shape[:-2]} for {name!r}"
             )
     return lead if lead is not None else ()
 
@@ -473,58 +454,32 @@ def run_kernel_vectorized(
                 raise FaultError("runtime.vectorized.kernel", act.kind)
     h, w = desc.height, desc.width
     hx, hy = desc.extent
-    lead = _lead_shape(desc, images)
-    out = np.empty((*lead, h, w), dtype=np.float32)
-    pads: Optional[dict] = None
-    checks = set()
-    if hx > 0:
-        checks |= {"left", "right"}
-    if hy > 0:
-        checks |= {"top", "bottom"}
-    naive_rects = [_RegionRect(0, w, 0, h, frozenset(checks))]
-    if variant == "naive":
-        rects = naive_rects
-    elif variant in ("isp", "isp_warp"):
-        if degenerate_geometry(w, h, hx, hy):
-            rects = naive_rects  # degenerate: fall back, like the compiler
-        elif variant == "isp":
-            rects = _pixel_regions(w, h, hx, hy)
-        else:
-            rects = _warp_regions(w, h, hx, hy, warp=warp_width)
-    elif variant == "prepad":
+    rects = _variant_rects(variant, w, h, hx, hy, warp_width)
+    lead = _check_inputs(desc.accessors, images)
+    if variant == "prepad":
         from .make_border import padded_for
 
-        # No degenerate fallback: the total mappings in make_border handle
-        # any apron depth, over-wide windows included.
-        rects = [_RegionRect(0, w, 0, h, frozenset())]
-        pads = {}
+        # Without a caller's cache, a local one still pads each
+        # (image, pattern) once per call however many accessors share it.
+        cache = pad_cache if pad_cache is not None else {}
+        sources = {}
         for acc in desc.accessors:
-            key = (acc.image.name, acc.boundary.value, float(acc.constant))
-            if key in pads:
-                continue
             # UNDEFINED promises every tap stays in bounds, so the apron's
             # values are unobservable — CLAMP is an in-bounds-sound stand-in
             # that keeps the gather total.
             boundary = acc.boundary
             if boundary is Boundary.UNDEFINED:
                 boundary = Boundary.CLAMP
-            pads[key] = padded_for(
-                images, acc.image.name, hx, hy, boundary,
-                float(acc.constant), cache=pad_cache,
-            )
+            padded = padded_for(images, acc.image.name, hx, hy, boundary,
+                                float(acc.constant), cache=cache)
+            sources[id(acc)] = (padded, -hx, -hy)
     else:
-        raise ValueError(f"unknown vectorized variant {variant!r}")
+        sources = {id(acc): (images[acc.image.name], 0, 0)
+                   for acc in desc.accessors}
     if tile_rows is not None:
         rects = _split_rows(rects, tile_rows)
-    for rect in rects:
-        if pads is not None:
-            ev: _RegionEvaluator = _PrepadEvaluator(desc, pads, rect)
-        else:
-            ev = _RegionEvaluator(desc, images, rect)
-        value = ev.eval(desc.expr)
-        out[..., rect.y0 : rect.y1, rect.x0 : rect.x1] = np.broadcast_to(
-            value, (*lead, rect.y1 - rect.y0, rect.x1 - rect.x0)
-        )
+    out = np.empty((*lead, h, w), dtype=np.float32)
+    _eval_rects(desc, sources, rects, out)
     if trace_ctx is not None:
         tracer, parent = trace_ctx
         tracer.record_span(
@@ -532,6 +487,20 @@ def run_kernel_vectorized(
             variant=variant, tile_rows=tile_rows, regions=len(rects),
         )
     return out
+
+
+def _bind_inputs(
+    pipeline: Pipeline, inputs: Optional[dict[str, np.ndarray]]
+) -> dict[str, np.ndarray]:
+    """Each pipeline input as float32: from ``inputs`` when given there,
+    else the image's bound host data."""
+    images: dict[str, np.ndarray] = {}
+    for img in pipeline.inputs:
+        if inputs is not None and img.name in inputs:
+            images[img.name] = np.asarray(inputs[img.name], dtype=np.float32)
+        else:
+            images[img.name] = img.host
+    return images
 
 
 def run_pipeline_vectorized(
@@ -550,14 +519,9 @@ def run_pipeline_vectorized(
     pattern is padded exactly once for the whole pipeline. Pass
     ``pad_cache`` to extend that reuse across *calls* on the same inputs.
     """
-    images: dict[str, np.ndarray] = {}
+    images = _bind_inputs(pipeline, inputs)
     if variant == "prepad" and pad_cache is None:
         pad_cache = {}
-    for img in pipeline.inputs:
-        if inputs is not None and img.name in inputs:
-            images[img.name] = np.asarray(inputs[img.name], dtype=np.float32)
-        else:
-            images[img.name] = img.host
     for kernel in pipeline:
         desc = trace_kernel(kernel)
         images[desc.output_name] = run_kernel_vectorized(

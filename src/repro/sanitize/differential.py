@@ -11,7 +11,8 @@ under which the out-of-bounds Mirror mapping corrupted pixels) through every
 variant and compares with ``np.array_equal``.
 
 A mismatch is reported with the first differing pixel; a crash (simulated
-memory trap, vectorized bounds assertion) is reported as a violation of the
+memory trap, vectorized :class:`~repro.runtime.OutOfBoundsError`) is
+reported as a violation of the
 same case — either way the harness never aborts mid-corpus.
 """
 
@@ -284,7 +285,7 @@ def run_pipeline_differential(
       be bit-identical to the staged vectorized executor at every tile
       shape, including tiles smaller than the pipeline's cumulative halo.
 
-    A crash (fusion error, bounds assertion) is recorded as a mismatch for
+    A crash (fusion error, out-of-bounds read) is recorded as a mismatch for
     the same case; the harness never aborts mid-corpus.
     """
     from ..compiler import cumulative_halos, trace_kernel
@@ -292,6 +293,7 @@ def run_pipeline_differential(
     from ..compiler.fusion_simt import compile_fused_simt
     from ..compiler.isp import CompileError
     from ..filters import PIPELINES
+    from ..runtime.executor import launch_stages
     from ..runtime.fused import run_pipeline_fused
     from ..runtime.vectorized import run_pipeline_vectorized
 
@@ -397,7 +399,11 @@ def run_pipeline_differential(
                     continue
                 report.comparisons += 1
                 try:
-                    actual = _run_fused_simt(cfk, src)
+                    # Unprofiled: only the output is compared.
+                    actual = launch_stages(
+                        [(cfk.name, "fused", cfk)],
+                        {name: src for name in cfk.layout.externals},
+                    ).images[plan.output_name]
                 except Exception as exc:  # noqa: BLE001
                     _record(report, path, boundary, w, h, he_max,
                             f"crash: {exc}")
@@ -412,25 +418,6 @@ def _simt_devices():
     from ..gpu import GTX680, VEGA64
 
     return (GTX680, VEGA64)
-
-
-def _run_fused_simt(cfk, src: np.ndarray) -> np.ndarray:
-    """Launch one fused megakernel on the simulator and read its output."""
-    from ..gpu.launch import launch
-    from ..gpu.memory import GlobalMemory
-    from ..ir.types import DataType
-
-    plan = cfk.plan
-    h, w = src.shape
-    mem = GlobalMemory(1 << max(16, ((len(cfk.layout.externals) + 2)
-                                     * w * h * 4 + 4096).bit_length()))
-    bases: dict[str, int] = {}
-    for name in cfk.layout.externals:
-        bases[name] = mem.alloc(src.size * 4)
-        mem.write_array(bases[name], src.ravel())
-    bases[plan.output_name] = mem.alloc(src.size * 4)
-    launch(cfk.func, cfk.launch_config, mem, cfk.param_values(bases), None)
-    return mem.read_array(bases[plan.output_name], (h, w), DataType.F32)
 
 
 def _record(

@@ -15,10 +15,11 @@ missed still traps instead of silently corrupting pixels:
   kernels against *canary-padded* images: each buffer is embedded in a NaN
   ring wide enough to absorb any plausible coordinate error, so a mis-mapped
   coordinate reads NaN and poisons the output, which is then scanned.  The
-  region evaluator's own in-bounds assertions fire first for fancy-indexed
-  border taps; the canary additionally covers the check-free Body fast path,
-  whose plain slices would otherwise wrap silently on a negative start.
-  Inputs must be NaN-free for the scan to be meaningful (asserted).
+  region evaluator's own bounds check (:class:`~repro.runtime
+  .OutOfBoundsError`, raised for Body slices and mapped border taps alike)
+  fires first for any read outside the image; the NaN ring stays as an
+  independent backstop should that check itself be wrong. Inputs must be
+  NaN-free for the scan to be meaningful (asserted).
 
 Both entry points return a :class:`ShadowReport` instead of raising, so the
 CLI and tests can aggregate violations across a corpus.
@@ -35,7 +36,7 @@ from ..compiler.frontend import trace_kernel
 from ..compiler.isp import Variant
 from ..dsl.pipeline import Pipeline
 from ..gpu.memory import MemoryError_
-from ..runtime.vectorized import run_kernel_vectorized
+from ..runtime.vectorized import OutOfBoundsError, run_kernel_vectorized
 
 
 @dataclasses.dataclass
@@ -138,7 +139,7 @@ def check_pipeline_vectorized(
     for desc in descs:
         try:
             out = run_kernel_vectorized(desc, images, variant=variant)
-        except AssertionError as exc:
+        except OutOfBoundsError as exc:
             report.violations.append(f"{desc.name}: {exc}")
             return report
         bad = np.isnan(out)

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
-import math
 import time
 import threading
 from typing import Optional
@@ -34,6 +33,7 @@ from ..compiler.isp import CompileError, Variant
 from ..compiler.regions import RegionGeometry
 from ..dsl.boundary import Boundary
 from ..gpu.device import DeviceSpec, GTX680
+from ..runtime.executor import launch_stages
 from ..runtime.vectorized import run_kernel_vectorized
 
 #: Variant policies a plan can be built with (mirrors the measurement
@@ -131,9 +131,9 @@ class ExecutionPlan:
     _simt_lock: threading.Lock = dataclasses.field(
         default_factory=threading.Lock, repr=False
     )
-    _simt_compiled: Optional[list[CompiledKernel]] = dataclasses.field(
-        default=None, repr=False
-    )
+    _simt_compiled: Optional[
+        list[tuple[str, str, CompiledKernel | CompiledFusedKernel]]
+    ] = dataclasses.field(default=None, repr=False)
     #: fused overlapped-tile schedule — present exactly when the plan was
     #: built with ``variant="fused"``; geometry-only, so one cached plan per
     #: pipeline digest serves every request and batch size
@@ -263,84 +263,19 @@ class ExecutionPlan:
         ``abort`` is polled by the warp interpreter: setting it makes an
         abandoned over-deadline simulation stop instead of running to
         completion in a zombie thread. ``collect``, when given, receives one
-        ``(kernel_name, variant, Profiler)`` triple per stage — the engine
+        ``(kernel_name, variant, Profiler)`` triple per launch — the engine
         lifts these into per-region trace profiles for sampled requests.
         """
-        from ..gpu.cost import cost_table_for
-        from ..gpu.launch import launch
-        from ..gpu.memory import GlobalMemory
-        from ..gpu.profiler import Profiler
-        from ..ir.types import DataType
-        from ..trace import core as _trace_core
-
         images = self._bind_input(image)
-        compiled = self._compiled_simt()
-
-        n_images = len(self.descs) + len(images)
-        px = max(d.width * d.height for d in self.descs)
-        mem = GlobalMemory(
-            1 << max(16, math.ceil(math.log2((n_images + 2) * px * 4 + 4096)))
-        )
-        bases: dict[str, int] = {}
-        for name, arr in images.items():
-            bases[name] = mem.alloc(arr.size * 4)
-            mem.write_array(bases[name], arr)
-
-        if len(compiled) == 1 and isinstance(compiled[0], CompiledFusedKernel):
-            # One megakernel for the whole pipeline: intermediates live in
-            # shared memory, so only the final output touches global.
-            cfk = compiled[0]
-            out_base = mem.alloc(cfk.plan.width * cfk.plan.height * 4)
-            bases[cfk.plan.output_name] = out_base
-            prof = Profiler(cost_table_for(self.device))
-            t0 = time.perf_counter()
-            launch(cfk.func, cfk.launch_config, mem, cfk.param_values(bases),
-                   prof, abort=abort)
-            if _trace_core._current is not None:
-                ctx = _trace_core.current_context()
-                if ctx is not None:
-                    tracer, parent = ctx
-                    tracer.record_span(
-                        f"launch:{cfk.name}", parent,
-                        t0, time.perf_counter(),
-                        variant="fused",
-                        warp_instructions=prof.warp_instructions,
-                        regions=prof.region_totals(),
-                        events=prof.event_totals(),
-                    )
-            if collect is not None:
-                collect.append((cfk.name, "fused", prof))
-            return mem.read_array(
-                out_base, (cfk.plan.height, cfk.plan.width), DataType.F32
+        stages = self._simt_stages()
+        result = launch_stages(stages, images, device=self.device,
+                               abort=abort)
+        if collect is not None:
+            collect.extend(
+                (name, variant, prof)
+                for (name, variant, _), prof in zip(stages, result.profilers)
             )
-
-        for desc, ck in zip(self.descs, compiled):
-            out_base = mem.alloc(desc.width * desc.height * 4)
-            bases[desc.output_name] = out_base
-            prof = Profiler(cost_table_for(self.device))
-            t0 = time.perf_counter()
-            launch(ck.func, ck.launch_config, mem, ck.param_values(bases), prof,
-                   abort=abort)
-            if _trace_core._current is not None:
-                ctx = _trace_core.current_context()
-                if ctx is not None:
-                    tracer, parent = ctx
-                    tracer.record_span(
-                        f"launch:{desc.name}", parent,
-                        t0, time.perf_counter(),
-                        variant=self.kernel_variants[desc.output_name],
-                        warp_instructions=prof.warp_instructions,
-                        regions=prof.region_totals(),
-                        events=prof.event_totals(),
-                    )
-            if collect is not None:
-                collect.append(
-                    (desc.name, self.kernel_variants[desc.output_name], prof)
-                )
-            images[desc.output_name] = mem.read_array(
-                out_base, (desc.height, desc.width), DataType.F32
-            )
-        return images[self.output_name]
+        return result.images[self.output_name]
 
     def sanitize(self) -> list:
         """Run the static bounds sanitizer over every stage's compiled SIMT
@@ -360,6 +295,12 @@ class ExecutionPlan:
         ]
 
     def _compiled_simt(self) -> list:
+        """The compiled SIMT kernels, in launch order."""
+        return [ck for _, _, ck in self._simt_stages()]
+
+    def _simt_stages(self) -> list:
+        """The plan's SIMT launches as ``(name, variant, kernel)`` triples,
+        compiled once and memoized."""
         with self._simt_lock:
             if self._simt_compiled is None:
                 if self.fused_plan is not None:
@@ -369,11 +310,12 @@ class ExecutionPlan:
                     # scratchpad over the device limit) run staged NAIVE,
                     # mirroring the host path's degenerate fallback.
                     try:
-                        self._simt_compiled = [compile_fused_simt(
+                        cfk = compile_fused_simt(
                             self.fused_plan,
                             block=self.key.block,
                             device=self.device,
-                        )]
+                        )
+                        self._simt_compiled = [(cfk.name, "fused", cfk)]
                         return self._simt_compiled
                     except CompileError:
                         pass
@@ -389,12 +331,13 @@ class ExecutionPlan:
                     "fused": Variant.NAIVE,
                 }
                 self._simt_compiled = [
-                    compile_kernel(
-                        desc,
-                        variant=mapping[self.kernel_variants[desc.output_name]],
-                        block=self.key.block,
-                        device=self.device,
-                    )
+                    (desc.name, self.kernel_variants[desc.output_name],
+                     compile_kernel(
+                         desc,
+                         variant=mapping[self.kernel_variants[desc.output_name]],
+                         block=self.key.block,
+                         device=self.device,
+                     ))
                     for desc in self.descs
                 ]
             return self._simt_compiled

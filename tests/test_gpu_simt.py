@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.gpu import GlobalMemory, LaunchConfig, Profiler, launch
-from repro.gpu.simt import WARP_SIZE, SimtError, _apply, _trunc_div, _trunc_rem
+from repro.gpu.simt import SimtError, _apply, _trunc_div, _trunc_rem
 from repro.ir import (
     CmpOp,
     DataType,
@@ -52,9 +52,9 @@ class TestIntegerSemantics:
             Opcode.ADD, DataType.S32, Register("d", DataType.S32),
             [Register("a", DataType.S32), Register("b", DataType.S32)],
         )
-        a = np.full(WARP_SIZE, 2**31 - 1, dtype=np.int32)
-        b = np.ones(WARP_SIZE, dtype=np.int32)
-        out = _apply(instr, [a, b], np.ones(WARP_SIZE, bool))
+        a = np.full(32, 2**31 - 1, dtype=np.int32)
+        b = np.ones(32, dtype=np.int32)
+        out = _apply(instr, [a, b], np.ones(32, bool))
         assert out[0] == -(2**31)
 
 
@@ -65,8 +65,8 @@ class TestFloatSemantics:
             Opcode.EX2, DataType.F32, Register("d", DataType.F32),
             [Register("a", DataType.F32)],
         )
-        a = np.full(WARP_SIZE, x, dtype=np.float32)
-        out = _apply(instr, [a], np.ones(WARP_SIZE, bool))
+        a = np.full(32, x, dtype=np.float32)
+        out = _apply(instr, [a], np.ones(32, bool))
         assert np.allclose(out, np.exp2(np.float32(x)), rtol=1e-6)
 
     def test_cvt_f32_to_s32_truncates(self):
@@ -75,7 +75,7 @@ class TestFloatSemantics:
             [Register("a", DataType.F32)], src_dtype=DataType.F32,
         )
         a = np.array([1.9, -1.9, 0.5, -0.5] * 8, dtype=np.float32)
-        out = _apply(instr, [a], np.ones(WARP_SIZE, bool))
+        out = _apply(instr, [a], np.ones(32, bool))
         assert list(out[:4]) == [1, -1, 0, 0]
 
     def test_selp(self):
@@ -84,11 +84,11 @@ class TestFloatSemantics:
             [Register("a", DataType.F32), Register("b", DataType.F32),
              Register("p", DataType.PRED)],
         )
-        a = np.full(WARP_SIZE, 1.0, np.float32)
-        b = np.full(WARP_SIZE, 2.0, np.float32)
-        p = np.zeros(WARP_SIZE, bool)
+        a = np.full(32, 1.0, np.float32)
+        b = np.full(32, 2.0, np.float32)
+        p = np.zeros(32, bool)
         p[::2] = True
-        out = _apply(instr, [a, b, p], np.ones(WARP_SIZE, bool))
+        out = _apply(instr, [a, b, p], np.ones(32, bool))
         assert np.all(out[::2] == 1.0) and np.all(out[1::2] == 2.0)
 
 
