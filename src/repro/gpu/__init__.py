@@ -1,4 +1,4 @@
-"""SIMT GPU simulator: devices, occupancy, memory, warp execution, timing.
+"""SIMT GPU simulator: devices, occupancy, memory, block execution, timing.
 
 This package stands in for the paper's GTX680/RTX2080 testbed. See DESIGN.md
 ("Substitutions") for the fidelity argument: the simulator models exactly the
@@ -25,7 +25,7 @@ from .launch import LaunchConfig, execute_block, launch
 from .memory import GlobalMemory, MemoryError_, transactions_for
 from .occupancy import OccupancyResult, compute_occupancy, registers_per_block
 from .profiler import EVENT_NAMES, BlockProfile, Profiler
-from .simt import SimtError, WarpContext, WarpExecutor
+from .simt import SimtError
 from .timing import LAUNCH_OVERHEAD_US, TimingEstimate, estimate_time
 
 __all__ = [
@@ -48,8 +48,6 @@ __all__ = [
     "Profiler",
     "SimtError",
     "TimingEstimate",
-    "WarpContext",
-    "WarpExecutor",
     "compute_occupancy",
     "cost_table_for",
     "estimate_time",

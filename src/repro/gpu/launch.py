@@ -16,14 +16,11 @@ import math
 import threading
 from typing import Iterable, Optional
 
-import numpy as np
-
-from ..ir.cfg import immediate_postdominators
 from ..ir.function import KernelFunction
 from ..ir.verifier import verify
 from .memory import GlobalMemory
 from .profiler import Profiler
-from .simt import SimtAbort, WarpContext, WarpExecutor
+from .simt import BlockExecutor, SimtAbort, decode
 
 
 @dataclasses.dataclass(frozen=True)
@@ -69,32 +66,6 @@ class LaunchConfig:
         )
 
 
-def _warp_contexts(cfg: LaunchConfig, bx_idx: int, by_idx: int) -> Iterable[WarpContext]:
-    """Yield the warp contexts of one block (x-major thread linearization)."""
-    bx, by = cfg.block
-    nthreads = bx * by
-    gx, gy = cfg.grid
-    width = cfg.warp_size
-    linear = np.arange(width, dtype=np.int64)
-    n_warps = math.ceil(nthreads / width)
-    for w in range(n_warps):
-        lin = w * width + linear
-        lane_mask = lin < nthreads
-        lin_clipped = np.minimum(lin, nthreads - 1)
-        yield WarpContext(
-            tid_x=(lin_clipped % bx).astype(np.int32),
-            tid_y=(lin_clipped // bx).astype(np.int32),
-            ctaid_x=bx_idx,
-            ctaid_y=by_idx,
-            ntid_x=bx,
-            ntid_y=by,
-            nctaid_x=gx,
-            nctaid_y=gy,
-            warp_id=w,
-            lane_mask=lane_mask,
-        )
-
-
 def execute_block(
     func: KernelFunction,
     cfg: LaunchConfig,
@@ -102,22 +73,27 @@ def execute_block(
     memory: GlobalMemory,
     params: dict,
     profiler: Optional[Profiler] = None,
-    ipdoms: Optional[dict] = None,
     block_class: Optional[str] = None,
     abort: Optional[threading.Event] = None,
 ) -> None:
-    """Run every warp of one threadblock to completion.
+    """Run one threadblock to completion, all its warps in lock step.
 
     Kernels whose metadata declares ``shared_bytes`` get a per-block shared
-    scratchpad (its base injected as the ``smem_base`` parameter) and their
-    warps advance in barrier-synchronized phases: every live warp must reach
-    each ``bar.sync`` before any proceeds — the ``__syncthreads`` contract.
+    scratchpad (its base injected as the ``smem_base`` parameter); every
+    ``bar.sync`` must then be reached by all live lanes together — the
+    ``__syncthreads`` contract. Unlike :func:`launch`, this does not verify
+    ``func``.
     """
-    if ipdoms is None:
-        ipdoms = immediate_postdominators(func)
+    table = func.decoded if func.decoded is not None else decode(func)
+    executor = BlockExecutor(table, cfg.block, cfg.grid, cfg.warp_size,
+                             memory, profiler, abort)
+    _run_block(executor, func, block_idx, params, block_class)
+
+
+def _run_block(executor, func, block_idx, params, block_class) -> None:
+    profiler = executor.profiler
     if profiler is not None:
         profiler.begin_block(block_idx, block_class)
-
     shared_bytes = int(func.metadata.get("shared_bytes", 0))
     shared = None
     if shared_bytes > 0:
@@ -125,29 +101,7 @@ def execute_block(
         shared = GlobalMemory(size)
         params = dict(params)
         params["smem_base"] = shared.alloc(shared_bytes)
-
-    contexts = list(_warp_contexts(cfg, *block_idx))
-    executors = [
-        WarpExecutor(func, memory, params, profiler, ipdoms, shared=shared,
-                     abort=abort, warp_size=cfg.warp_size)
-        for _ in contexts
-    ]
-    if shared is None:
-        for ex, ctx in zip(executors, contexts):
-            ex.run(ctx)
-    else:
-        generators = [ex.run_phases(ctx) for ex, ctx in zip(executors, contexts)]
-        alive = list(generators)
-        while alive:
-            arrived = []
-            for gen in alive:
-                try:
-                    next(gen)
-                    arrived.append(gen)
-                except StopIteration:
-                    pass  # warp ran to completion (exited before/after bars)
-            alive = arrived
-
+    executor.run(block_idx, params, shared)
     if profiler is not None:
         profiler.end_block()
 
@@ -163,6 +117,10 @@ def launch(
 ) -> None:
     """Execute a kernel launch.
 
+    The first launch of ``func`` verifies it and decodes it once
+    (:func:`repro.gpu.simt.decode`); the table is kept on the function, so
+    later launches of the same function object skip both.
+
     Parameters
     ----------
     blocks:
@@ -172,14 +130,17 @@ def launch(
         caller scales their counters by the per-region block counts
         (paper Eq. 8).
     """
-    verify(func)
+    if func.decoded is None:
+        verify(func)
+        func.decoded = decode(func)
     missing = [
         p.name for p in func.params
         if p.name not in params and p.name != "smem_base"  # injected per block
     ]
     if missing:
         raise ValueError(f"launch of {func.name}: missing parameters {missing}")
-    ipdoms = immediate_postdominators(func)
+    executor = BlockExecutor(func.decoded, cfg.block, cfg.grid, cfg.warp_size,
+                             memory, profiler, abort)
     if blocks is None:
         gx, gy = cfg.grid
         blocks = (((ix, iy), None) for iy in range(gy) for ix in range(gx))
@@ -189,7 +150,4 @@ def launch(
             raise ValueError(f"block index {block_idx} outside grid {cfg.grid}")
         if abort is not None and abort.is_set():
             raise SimtAbort(f"{func.name}: launch aborted before block {block_idx}")
-        execute_block(
-            func, cfg, block_idx, memory, params, profiler, ipdoms, block_class,
-            abort=abort,
-        )
+        _run_block(executor, func, block_idx, params, block_class)

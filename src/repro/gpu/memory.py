@@ -100,10 +100,9 @@ class GlobalMemory:
 
     def gather(self, addrs: np.ndarray, mask: np.ndarray, dtype: DataType) -> np.ndarray:
         """Vector load: one value per active lane. Inactive lanes read 0."""
-        self._check_lane_addrs(addrs, mask)
+        active = self._check_lane_addrs(addrs, mask)
         out = np.zeros(addrs.shape, dtype=dtype.numpy_dtype)
-        active = addrs[mask] // 4
-        out[mask] = self._words[active].view(dtype.numpy_dtype)
+        out[mask] = self._words[active // 4].view(dtype.numpy_dtype)
         return out
 
     def scatter(
@@ -116,9 +115,9 @@ class GlobalMemory:
         guaranteed to land" contract closely enough for these kernels, which
         never write the same pixel twice.
         """
-        self._check_lane_addrs(addrs, mask)
+        active = self._check_lane_addrs(addrs, mask)
         vals = values.astype(dtype.numpy_dtype, copy=False)
-        self._words[addrs[mask] // 4] = vals[mask].view(np.uint32)
+        self._words[active // 4] = vals[mask].view(np.uint32)
 
     # ------------------------------------------------------------- validation
 
@@ -131,24 +130,26 @@ class GlobalMemory:
                 f"of {self.size_bytes} bytes"
             )
 
-    def _check_lane_addrs(self, addrs: np.ndarray, mask: np.ndarray) -> None:
+    def _check_lane_addrs(self, addrs: np.ndarray, mask: np.ndarray) -> np.ndarray:
+        """Trap any bad active lane address; return the active addresses."""
         if _faults._current is not None:
             # Fault point: a simulated redzone/OOB trap on an otherwise valid
             # access — exercises the same typed-failure path as a real hit.
+            # It fires once per access, for all the lanes of a block.
             if _faults.fire("gpu.memory.redzone", shadow=self.shadow) is not None:
                 raise MemoryError_(
                     "injected fault: shadow redzone hit (gpu.memory.redzone)"
                 )
-        if not mask.any():
-            return
-        active = addrs[mask].astype(np.int64)
-        bad_align = active % 4 != 0
-        if bad_align.any():
+        active = addrs[mask].astype(np.int64, copy=False)
+        if not active.size:
+            return active
+        if (active & 3).any():
+            bad_align = active % 4 != 0
             raise MemoryError_(
                 f"misaligned lane address {int(active[bad_align][0]):#x}"
             )
-        oob = (active < 4) | (active + 4 > self.size_bytes)
-        if oob.any():
+        if active.min() < 4 or active.max() + 4 > self.size_bytes:
+            oob = (active < 4) | (active + 4 > self.size_bytes)
             raise MemoryError_(
                 f"lane address {int(active[oob][0]):#x} out of bounds "
                 f"(memory is {self.size_bytes} bytes) — an unhandled border access?"
@@ -169,6 +170,7 @@ class GlobalMemory:
                     f"allocation (redzone or cross-buffer access) — "
                     f"an unhandled border access?"
                 )
+        return active
 
 
 def transactions_for(addrs: np.ndarray, mask: np.ndarray) -> int:
@@ -176,12 +178,67 @@ def transactions_for(addrs: np.ndarray, mask: np.ndarray) -> int:
 
     A perfectly coalesced warp access touches 1 segment; the worst case is one
     per lane. Warp-grained ISP (paper Section V-B) is motivated by keeping
-    warps on the efficient path, so the profiler tracks this.
+    warps on the efficient path, so the profiler tracks this. This is the
+    one-warp reference for :func:`warp_transactions`.
     """
     if not mask.any():
         return 0
     segments = np.unique(addrs[mask].astype(np.int64) // SEGMENT_BYTES)
     return int(segments.size)
+
+
+def bank_conflicts(addrs: np.ndarray, mask: np.ndarray, warp_size: int) -> int:
+    """Replay count of one warp's shared access under the stride model:
+    ``warp_size`` banks of one 4-byte word; replays = distinct words beyond
+    the first in the most-loaded bank (same-word lanes broadcast). This is
+    the one-warp reference for :func:`warp_bank_conflicts`."""
+    words = np.unique(addrs[mask].astype(np.int64) >> 2)
+    if words.size <= 1:
+        return 0
+    per_bank = np.bincount(words % warp_size, minlength=warp_size)
+    return int(per_bank.max()) - 1
+
+
+#: Sorts below every segment or word index of an inactive lane.
+_NO_LANE = np.iinfo(np.int64).min
+
+
+def _sorted_per_warp(values: np.ndarray, mask: np.ndarray, warp_size: int) -> np.ndarray:
+    """``values`` as one sorted row per warp, inactive lanes first as
+    :data:`_NO_LANE`."""
+    rows = np.where(mask, values, _NO_LANE).reshape(-1, warp_size)
+    rows.sort(axis=1)
+    return rows
+
+
+def warp_transactions(addrs: np.ndarray, mask: np.ndarray, warp_size: int) -> np.ndarray:
+    """:func:`transactions_for` of every warp of a block at once.
+
+    ``addrs`` and ``mask`` hold ``n_warps * warp_size`` lanes, warp after
+    warp; the result holds one count per warp (0 for a warp with no active
+    lane).
+    """
+    segs = _sorted_per_warp(addrs.astype(np.int64, copy=False) // SEGMENT_BYTES,
+                            mask, warp_size)
+    # Each change along a sorted row starts a new segment; a row without
+    # inactive lanes starts with one too.
+    changes = (segs[:, 1:] != segs[:, :-1]).sum(axis=1)
+    return changes + (segs[:, 0] != _NO_LANE)
+
+
+def warp_bank_conflicts(addrs: np.ndarray, mask: np.ndarray, warp_size: int) -> np.ndarray:
+    """:func:`bank_conflicts` of every warp of a block at once (lanes laid
+    out as for :func:`warp_transactions`)."""
+    words = _sorted_per_warp(addrs.astype(np.int64, copy=False) >> 2, mask,
+                             warp_size)
+    first = np.empty(words.shape, dtype=bool)
+    first[:, 0] = True
+    np.not_equal(words[:, 1:], words[:, :-1], out=first[:, 1:])
+    first &= words != _NO_LANE
+    rows, cols = np.nonzero(first)
+    per_bank = np.bincount(rows * warp_size + words[rows, cols] % warp_size,
+                           minlength=words.size).reshape(words.shape)
+    return np.maximum(per_bank.max(axis=1) - 1, 0)
 
 
 def _resolve_np(np_dtype: np.dtype) -> DataType:

@@ -1,7 +1,9 @@
 """Dynamic execution counters.
 
-The profiler is the simulator's NVProf: it observes every executed warp
-instruction and aggregates
+The profiler is the simulator's NVProf. The block executor charges it once
+per executed straight-line segment (static counts times the warps taking
+part) and once per memory access, divergence and watchdog poll, and it
+aggregates
 
 * dynamic counts by PTX keyword (the unit of the paper's Table I),
 * counts by ISP region tag and by accounting role (check/switch/kernel),
@@ -21,8 +23,7 @@ import dataclasses
 from collections import Counter
 from typing import Optional
 
-from ..ir.instructions import Instruction, Opcode
-from .cost import CostTable, category_of
+from .cost import CostTable
 
 #: Architectural event names, in a stable reporting order. Every consumer
 #: (trace spans, Prometheus, the device regression matrix) uses these keys.
@@ -114,81 +115,109 @@ class Profiler:
 
     # ----------------------------------------------------------------- events
 
-    def on_instruction(
-        self, instr: Instruction, active_lanes: int, transactions: int = 0
-    ) -> None:
-        """Record one warp-level execution of ``instr``."""
-        keyword = instr.keyword
-        self.warp_instructions += 1
-        self.thread_instructions += active_lanes
-        self.by_keyword[keyword] += 1
-        region = instr.region or "(shared)"
-        self.by_region.setdefault(region, Counter())[keyword] += 1
-        role = instr.role or "(untagged)"
-        self.by_role.setdefault(role, Counter())[keyword] += 1
+    def on_segments(self, counts: dict, thread_instructions: int) -> None:
+        """Record the straight-line segments one block executed.
 
-        cycles = 0.0
-        if self.cost_table is not None:
-            cycles = self.cost_table.issue_cost(instr)
-            if instr.op in (Opcode.LD, Opcode.ST):
-                cycles += self.cost_table.mem_transaction * transactions
-            self.issue_cycles += cycles
-        if transactions:
-            self.mem_transactions += transactions
-            if transactions == 1:
-                self._event("coalesced_access", region)
-            else:
-                self._event("scattered_access", region)
-                self._event("mem_replay", region, transactions - 1)
-
+        ``counts`` maps ``(keyword, region, role, category)`` to warp
+        executions: a segment's static counts times the warps that took
+        part, summed over the block's executions of it.
+        ``thread_instructions`` sums the active lanes of those executions.
+        """
         blk = self._current
+        table = self.cost_table
+        cycles = 0.0
+        for (keyword, region, role, category), n in counts.items():
+            region = region or "(shared)"
+            role = role or "(untagged)"
+            self.warp_instructions += n
+            self.by_keyword[keyword] += n
+            _counter(self.by_region, region)[keyword] += n
+            _counter(self.by_role, role)[keyword] += n
+            if table is not None:
+                cycles += n * table.rate(category)
+            if blk is not None:
+                blk.warp_instructions += n
+                blk.by_keyword[keyword] += n
+                blk.by_category[category] += n
+                blk.by_region[region] += n
+                blk.by_role[role] += n
+        self.thread_instructions += thread_instructions
+        self.issue_cycles += cycles
         if blk is not None:
-            blk.warp_instructions += 1
-            blk.thread_instructions += active_lanes
-            blk.by_keyword[keyword] += 1
-            blk.by_category[category_of(instr)] += 1
-            blk.by_region[region] += 1
-            blk.by_role[role] += 1
+            blk.thread_instructions += thread_instructions
             blk.issue_cycles += cycles
-            blk.mem_transactions += transactions
+
+    def on_global_access(
+        self, region: Optional[str], transactions: list[int], *, billed: bool
+    ) -> None:
+        """Record one block-wide global-memory access.
+
+        ``transactions`` holds each warp's 128-byte segment count (0 for a
+        warp with no active lane). A warp served by one transaction is a
+        coalesced access; more make a scattered one, replayed once per
+        extra transaction. ``billed`` accesses (``ld``/``st``) also pay
+        the cost table's per-transaction cycles; textured loads do not.
+        """
+        total = warps = coalesced = 0
+        for tx in transactions:
+            if tx:
+                total += tx
+                warps += 1
+                coalesced += tx == 1
+        self.mem_transactions += total
+        if self._current is not None:
+            self._current.mem_transactions += total
+        if billed and self.cost_table is not None:
+            cycles = self.cost_table.mem_transaction * total
+            self.issue_cycles += cycles
+            if self._current is not None:
+                self._current.issue_cycles += cycles
+        region = region or "(shared)"
+        if coalesced:
+            self._event("coalesced_access", region, coalesced)
+        if warps > coalesced:
+            self._event("scattered_access", region, warps - coalesced)
+            self._event("mem_replay", region, total - warps)
 
     def _event(self, name: str, region: Optional[str] = None, n: int = 1) -> None:
         self.events[name] += n
         if region is not None:
-            self.events_by_region.setdefault(region, Counter())[name] += n
+            _counter(self.events_by_region, region)[name] += n
         if self._current is not None:
             self._current.events[name] += n
 
     def on_shared_access(
-        self, instr: Instruction, *, store: bool, conflicts: int = 0
+        self, region: Optional[str], *, store: bool, warps: int = 1,
+        conflicts: int = 0,
     ) -> None:
-        """Record one warp-level shared-memory access.
+        """Record one block-wide shared-memory access by ``warps`` warps.
 
-        ``conflicts`` is the replay count of the bank model: with
-        ``warp_size`` banks of one 4-byte word, a warp access replays once
-        per *distinct word* beyond the first that lands in the most-loaded
-        bank (lanes hitting the same word broadcast for free). Purely
-        observational — the cost table prices the instruction itself.
+        ``conflicts`` sums the warps' replay counts under the bank model:
+        with ``warp_size`` banks of one 4-byte word, a warp access replays
+        once per *distinct word* beyond the first that lands in the
+        most-loaded bank (lanes hitting the same word broadcast for free).
+        Purely observational — the cost table prices the instruction itself.
         """
-        region = instr.region or "(shared)"
-        self._event("smem_store" if store else "smem_load", region)
+        region = region or "(shared)"
+        self._event("smem_store" if store else "smem_load", region, warps)
         if conflicts > 0:
             self._event("lds_bank_conflict", region, conflicts)
 
-    def on_divergence(self, instr: Optional[Instruction] = None) -> None:
-        self.divergent_branches += 1
-        self._event("branch_divergence",
-                    instr.region if instr is not None else None)
+    def on_divergence(self, region: Optional[str] = None, warps: int = 1) -> None:
+        """Record a branch at which ``warps`` warps split their active masks."""
+        self.divergent_branches += warps
+        self._event("branch_divergence", region, warps)
         if self._current is not None:
-            self._current.divergences += 1
+            self._current.divergences += warps
         if self.cost_table is not None:
-            self.issue_cycles += self.cost_table.divergence_penalty
+            penalty = self.cost_table.divergence_penalty * warps
+            self.issue_cycles += penalty
             if self._current is not None:
-                self._current.issue_cycles += self.cost_table.divergence_penalty
+                self._current.issue_cycles += penalty
 
-    def on_watchdog_poll(self) -> None:
-        """The interpreter paused a warp to poll the host abort watchdog."""
-        self._event("watchdog_stall")
+    def on_watchdog_poll(self, n: int = 1) -> None:
+        """Warps paused ``n`` times to poll the host abort watchdog."""
+        self._event("watchdog_stall", None, n)
 
     # ---------------------------------------------------------------- queries
 
@@ -212,3 +241,11 @@ class Profiler:
     def event_totals(self) -> dict[str, int]:
         """All architectural event counters, zero-filled in stable order."""
         return {name: int(self.events.get(name, 0)) for name in EVENT_NAMES}
+
+
+def _counter(counters: dict, key: str) -> Counter:
+    """``counters[key]``, created empty on first use."""
+    c = counters.get(key)
+    if c is None:
+        c = counters[key] = Counter()
+    return c

@@ -82,6 +82,9 @@ class KernelFunction:
         self._by_label: dict[str, BasicBlock] = {}
         #: free-form metadata filled by the compiler (variant, bounds, ...)
         self.metadata: dict = {}
+        #: the simulator's decoded form (:func:`repro.gpu.simt.decode`), set
+        #: by the function's first launch and immutable afterwards
+        self.decoded = None
 
     @property
     def entry(self) -> BasicBlock:

@@ -19,7 +19,8 @@ missed still traps instead of silently corrupting pixels:
   .OutOfBoundsError`, raised for Body slices and mapped border taps alike)
   fires first for any read outside the image; the NaN ring stays as an
   independent backstop should that check itself be wrong. Inputs must be
-  NaN-free for the scan to be meaningful (asserted).
+  NaN-free for the scan to be meaningful: a NaN input raises
+  :class:`ValueError` (a plain check, so it holds under ``python -O``).
 
 Both entry points return a :class:`ShadowReport` instead of raising, so the
 CLI and tests can aggregate violations across a corpus.
@@ -116,7 +117,11 @@ def check_pipeline_vectorized(
     inputs: Optional[dict[str, np.ndarray]] = None,
     pad: Optional[int] = None,
 ) -> ShadowReport:
-    """Evaluate the pipeline on canary-padded images; scan outputs for NaN."""
+    """Evaluate the pipeline on canary-padded images; scan outputs for NaN.
+
+    Raises :class:`ValueError` if an input holds NaN, which the scan could
+    not tell from a canary.
+    """
     report = ShadowReport(pipeline=pipeline.name, mode="vectorized", variant=variant)
     descs = [trace_kernel(k) for k in pipeline]
     if pad is None:
@@ -130,9 +135,10 @@ def check_pipeline_vectorized(
     for img in pipeline.inputs:
         host = inputs[img.name] if inputs and img.name in inputs else img.host
         host = np.asarray(host, dtype=np.float32)
-        assert not np.isnan(host).any(), (
-            f"canary check requires NaN-free input {img.name!r}"
-        )
+        if np.isnan(host).any():
+            raise ValueError(
+                f"canary check requires NaN-free input {img.name!r}"
+            )
         images[img.name] = _CanaryArray(host, pad)
 
     plain: dict[str, np.ndarray] = {}

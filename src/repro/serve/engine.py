@@ -669,11 +669,14 @@ class ServeEngine:
     ) -> Optional[np.ndarray]:
         """Run the SIMT simulation; ``None`` means the budget expired.
 
-        Python threads cannot be killed, so an over-budget simulation is
-        *abandoned* — but not left running to completion: the warp
-        interpreter polls the ``abort`` event and bails out cooperatively,
-        so the zombie thread stops burning CPU within a few thousand
-        instructions instead of finishing a result nobody will read.
+        The budget has expired when the clock says so after the wait, even
+        if the simulation thread has finished by then: a late result is
+        discarded, and its counters are not counted. Python threads cannot
+        be killed, so an over-budget simulation is *abandoned* — but not
+        left running to completion: the block executor polls the ``abort``
+        event and bails out cooperatively, so the zombie thread stops
+        burning CPU within a few thousand instructions instead of finishing
+        a result nobody will read.
         """
         if budget_s is not None and budget_s <= 0:
             return None
@@ -699,9 +702,14 @@ class ServeEngine:
 
         t = threading.Thread(target=run, daemon=True,
                              name=f"simt-{request.request_id}")
+        deadline = None if budget_s is None else time.perf_counter() + budget_s
         t.start()
         t.join(budget_s)
-        if t.is_alive():
+        # The clock decides, not join(): a descheduled or GIL-starved waiter
+        # may only wake after the simulation has finished, and a result that
+        # finished late is still late.
+        if t.is_alive() or (deadline is not None
+                            and time.perf_counter() >= deadline):
             abort.set()
             return None
         if "error" in box:

@@ -2,10 +2,18 @@
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.gpu.memory import SEGMENT_BYTES, GlobalMemory, MemoryError_, transactions_for
+from repro.gpu.memory import (
+    SEGMENT_BYTES,
+    GlobalMemory,
+    MemoryError_,
+    bank_conflicts,
+    transactions_for,
+    warp_bank_conflicts,
+    warp_transactions,
+)
 from repro.ir.types import DataType
 
 
@@ -133,3 +141,45 @@ class TestCoalescing:
         addrs = base + 4 * np.arange(32, dtype=np.int64)
         t = transactions_for(addrs, full_mask())
         assert 1 <= t <= 2  # 128 contiguous bytes touch at most 2 segments
+
+
+class TestPerWarpCounts:
+    """The block executor counts all warps of a block in one call; every
+    warp's count must equal the one-warp model applied to that warp alone."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        warp_size=st.sampled_from([32, 64]),
+        n_warps=st.integers(1, 4),
+        seed=st.integers(0, 2**32 - 1),
+        base=st.integers(-1024, 1 << 20).map(lambda a: 4 * a),
+        spread=st.sampled_from([1, 3, 32, 64, 1024, 1 << 16]),
+        density=st.sampled_from([0.0, 0.1, 0.5, 0.9, 1.0]),
+        idle=st.lists(st.booleans(), min_size=4, max_size=4),
+    )
+    def test_matches_one_warp_models(self, warp_size, n_warps, seed, base,
+                                     spread, density, idle):
+        rng = np.random.default_rng(seed)
+        n = n_warps * warp_size
+        # A small spread puts many lanes on one word (broadcasts, replays).
+        addrs = base + 4 * rng.integers(0, spread, n).astype(np.int64)
+        mask = rng.random(n) < density
+        for w in range(n_warps):
+            if idle[w]:  # a warp with no active lane
+                mask[w * warp_size:(w + 1) * warp_size] = False
+        tx = warp_transactions(addrs, mask, warp_size)
+        conflicts = warp_bank_conflicts(addrs, mask, warp_size)
+        assert tx.shape == conflicts.shape == (n_warps,)
+        for w in range(n_warps):
+            lanes = slice(w * warp_size, (w + 1) * warp_size)
+            assert tx[w] == transactions_for(addrs[lanes], mask[lanes])
+            assert conflicts[w] == bank_conflicts(addrs[lanes], mask[lanes],
+                                                  warp_size)
+
+    def test_bank_model_examples(self):
+        words = np.arange(32, dtype=np.int64)
+        everyone = np.ones(32, dtype=bool)
+        assert bank_conflicts(4 * words, everyone, 32) == 0  # one per bank
+        assert bank_conflicts(4 * 32 * words, everyone, 32) == 31  # one bank
+        assert bank_conflicts(np.full(32, 64), everyone, 32) == 0  # broadcast
+        assert bank_conflicts(4 * 2 * words, everyone, 32) == 1  # stride 2

@@ -1,5 +1,9 @@
 """SIMT executor tests: ALU semantics, divergence, loops, exit masking."""
 
+import dataclasses
+import threading
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -198,23 +202,15 @@ class TestDivergence:
         b.br("entry2")
         func = b.finish()
         mem = GlobalMemory(1 << 12)
-        from repro.gpu import WarpContext, WarpExecutor
-
-        ctx = WarpContext(
-            tid_x=np.arange(32, dtype=np.int32),
-            tid_y=np.zeros(32, dtype=np.int32),
-            ctaid_x=0, ctaid_y=0, ntid_x=32, ntid_y=1,
-            nctaid_x=1, nctaid_y=1, warp_id=0,
-            lane_mask=np.ones(32, bool),
-        )
-        ex = WarpExecutor(func, mem, {"out_ptr": 128})
+        from repro.gpu.launch import execute_block
         import repro.gpu.simt as simt_mod
 
         old = simt_mod.MAX_WARP_INSTRUCTIONS
         simt_mod.MAX_WARP_INSTRUCTIONS = 1000
         try:
             with pytest.raises(SimtError, match="runaway"):
-                ex.run(ctx)
+                execute_block(func, LaunchConfig((1, 1), (32, 1)), (0, 0), mem,
+                              {"out_ptr": 128})
         finally:
             simt_mod.MAX_WARP_INSTRUCTIONS = old
 
@@ -340,3 +336,211 @@ class TestLaunchValidation:
         launch(func, LaunchConfig((gx, gy), (32, 1)), mem, {"out_ptr": out_addr})
         got = mem.read_array(out_addr, (gx * gy,), DataType.S32)
         assert np.all(got == 1)
+
+
+def _keywords(func, labels_and_times):
+    """Static keyword counts of blocks, each weighted by its executions."""
+    total = Counter()
+    for label, times in labels_and_times:
+        for instr in func.block(label).instructions:
+            total[instr.keyword] += times
+    return total
+
+
+class TestLockStepBlocks:
+    """A block runs all its warps together; every count stays per warp."""
+
+    def test_block_split_between_uniform_warps_is_no_divergence(self):
+        # Warp 0 (tid < 32) takes one arm and warp 1 the other: the branch
+        # splits the 64-thread block but no warp's own lanes.
+        b = IRBuilder("warpsplit", _out_param())
+        b.new_block("entry")
+        out = b.ld_param("out_ptr")
+        tid = b.special(SpecialReg.TID_X)
+        v = b.fresh_reg(DataType.S32, "v")
+        p = b.setp(CmpOp.LT, tid, 32)
+        b.cbr(p, "low", "high")
+        b.new_block("low")
+        b.mov_to(v, b.mul(tid, 3))
+        b.br("join")
+        b.new_block("high")
+        b.mov_to(v, b.max(b.sub(tid, 100), b.imm(-50, DataType.S32)))
+        b.br("join")
+        b.new_block("join")
+        _store(b, out, tid, v)
+        b.exit()
+        func = b.finish()
+        mem = GlobalMemory(1 << 12)
+        out_addr = mem.alloc(64 * 4)
+        prof = Profiler()
+        launch(func, LaunchConfig((1, 1), (64, 1)), mem, {"out_ptr": out_addr},
+               prof)
+        got = mem.read_array(out_addr, (64,), DataType.S32)
+        tids = np.arange(64)
+        assert np.array_equal(got, np.where(tids < 32, 3 * tids,
+                                            np.maximum(tids - 100, -50)))
+        assert prof.divergent_branches == 0
+        assert prof.event_totals()["branch_divergence"] == 0
+        assert prof.block_profiles[0].divergences == 0
+        # Each warp executed entry, its own arm, then join.
+        expected = _keywords(func, [("entry", 2), ("low", 1), ("high", 1),
+                                    ("join", 2)])
+        assert prof.by_keyword == expected
+        assert prof.warp_instructions == sum(expected.values())
+
+    def test_register_written_only_by_another_warp_is_undefined(self):
+        b = IRBuilder("halfdef", _out_param())
+        b.new_block("entry")
+        out = b.ld_param("out_ptr")
+        tid = b.special(SpecialReg.TID_X)
+        v = b.fresh_reg(DataType.S32, "v")
+        p = b.setp(CmpOp.LT, tid, 32)
+        b.cbr(p, "define", "join")
+        b.new_block("define")
+        b.mov_to(v, tid)
+        b.br("join")
+        b.new_block("join")
+        _store(b, out, tid, v)  # warp 1 reads v, which only warp 0 wrote
+        b.exit()
+        with pytest.raises(SimtError, match="undefined register"):
+            _run_kernel(b, n_threads=64)
+
+    def test_watchdog_polls_count_each_warps_instructions(self):
+        # Lane t spins 600 + 1500 * (t // 32) + t % 2 times: the two warps
+        # run different trip counts, and lanes within a warp split on the
+        # last iteration.
+        b = IRBuilder("spin", _out_param())
+        b.new_block("entry")
+        out = b.ld_param("out_ptr")
+        tid = b.special(SpecialReg.TID_X)
+        trip = b.add(b.add(b.mul(b.shr(tid, 5), 1500), b.rem(tid, 2)), 600)
+        i = b.fresh_reg(DataType.S32, "i")
+        b.mov_to(i, 0)
+        b.br("head")
+        b.new_block("head")
+        p = b.setp(CmpOp.LT, i, trip)
+        b.cbr(p, "body", "done")
+        b.new_block("body")
+        b.mov_to(i, b.add(i, 1))
+        b.br("head")
+        b.new_block("done")
+        _store(b, out, tid, i)
+        b.exit()
+        func = b.finish()
+        mem = GlobalMemory(1 << 14)
+        out_addr = mem.alloc(64 * 4)
+        prof = Profiler()
+        launch(func, LaunchConfig((1, 1), (64, 1)), mem, {"out_ptr": out_addr},
+               prof, abort=threading.Event())
+        got = mem.read_array(out_addr, (64,), DataType.S32)
+        tids = np.arange(64)
+        assert np.array_equal(got, 600 + 1500 * (tids // 32) + tids % 2)
+        size = {blk.label: len(blk.instructions) for blk in func.blocks}
+        polls = []
+        for warp in range(2):
+            trips = 601 + 1500 * warp  # the warp's longest-running lane
+            n_w = (size["entry"] + (trips + 1) * size["head"]
+                   + trips * size["body"] + size["done"])
+            polls.append(n_w // 2048)
+        assert polls == [1, 5]
+        assert prof.event_totals()["watchdog_stall"] == sum(polls)
+
+    def test_second_launch_neither_verifies_nor_recomputes_ipdoms(self, monkeypatch):
+        import importlib
+
+        from repro.ir import immediate_postdominators, verify
+
+        # (``repro.gpu.launch`` the attribute is the function, not the module)
+        launch_mod = importlib.import_module("repro.gpu.launch")
+        simt_mod = importlib.import_module("repro.gpu.simt")
+
+        calls = Counter()
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for mod in (launch_mod, simt_mod):
+            monkeypatch.setattr(mod, "verify", counted("verify", verify),
+                                raising=False)
+            monkeypatch.setattr(mod, "immediate_postdominators",
+                                counted("ipdoms", immediate_postdominators),
+                                raising=False)
+        b = IRBuilder("twice", _out_param())
+        b.new_block("entry")
+        out = b.ld_param("out_ptr")
+        tid = b.special(SpecialReg.TID_X)
+        _store(b, out, tid, tid)
+        b.exit()
+        func = b.finish()
+        mem = GlobalMemory(1 << 12)
+        out_addr = mem.alloc(32 * 4)
+        launch(func, LaunchConfig((1, 1), (32, 1)), mem, {"out_ptr": out_addr})
+        assert calls == {"verify": 1, "ipdoms": 1}
+        launch(func, LaunchConfig((1, 1), (32, 1)), mem, {"out_ptr": out_addr})
+        assert calls == {"verify": 1, "ipdoms": 1}
+
+    def test_concurrent_first_launches_agree(self):
+        # Engine workers share a function's decoded table: first launches
+        # that race may both decode, and every launch must still agree.
+        import sys
+
+        b = IRBuilder("race", _out_param())
+        b.new_block("entry")
+        out = b.ld_param("out_ptr")
+        tid = b.special(SpecialReg.TID_X)
+        x = b.fresh_reg(DataType.S32, "x")
+        b.mov_to(x, tid)
+        b.br("head")
+        b.new_block("head")
+        p = b.setp(CmpOp.GT, x, 0)
+        b.cbr(p, "body", "done")
+        b.new_block("body")
+        b.mov_to(x, b.sub(x, 5))
+        b.br("head")
+        b.new_block("done")
+        _store(b, out, tid, x)
+        b.exit()
+        func = b.finish()
+        results = {}
+
+        def work(i):
+            mem = GlobalMemory(1 << 12)
+            out_addr = mem.alloc(64 * 4)
+            prof = Profiler()
+            launch(func, LaunchConfig((1, 1), (64, 1)), mem,
+                   {"out_ptr": out_addr}, prof)
+            results[i] = (mem.read_array(out_addr, (64,), DataType.S32),
+                          prof.by_keyword, prof.event_totals())
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=work, args=(i,)) for i in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+        finally:
+            sys.setswitchinterval(switch)
+        assert sorted(results) == list(range(6))
+        tids = np.arange(64)
+        expected = np.where(tids > 0, tids - 5 * ((tids + 4) // 5), tids)
+        first = results[0]
+        for got, by_keyword, events in results.values():
+            assert np.array_equal(got, expected)
+            assert by_keyword == first[1] and events == first[2]
+        assert func.decoded is not None
+
+    def test_cost_rates_are_multiples_of_half_a_cycle(self):
+        # Per-segment issue_cycles sums are then exact in float64, whatever
+        # order the segments are added in.
+        from repro.gpu.cost import _BY_ARCH, CostTable
+
+        for table in (CostTable(), *_BY_ARCH.values()):
+            for field in dataclasses.fields(table):
+                doubled = 2 * getattr(table, field.name)
+                assert doubled == int(doubled), (table, field.name)

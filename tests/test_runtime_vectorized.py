@@ -179,6 +179,18 @@ def _expect_late_producer_out_of_bounds():
         run_fused(_late_producer_plan(), {"inp": src})
 
 
+def _expect_nan_input_rejected():
+    """The canary scan's NaN-free precondition is a plain check: a NaN
+    input must not come back as a false "access escaped" violation."""
+    from repro.sanitize import check_pipeline_vectorized, make_conv_pipeline
+
+    pipe = make_conv_pipeline(8, 8, Boundary.CLAMP, np.ones((3, 3), np.float32))
+    img = np.ones((8, 8), np.float32)
+    img[2, 3] = np.nan
+    with pytest.raises(ValueError, match="NaN-free"):
+        check_pipeline_vectorized(pipe, inputs={"inp": img})
+
+
 class TestBoundsCheck:
     """Reads outside a source buffer raise, also under ``python -O``."""
 
@@ -194,6 +206,23 @@ class TestBoundsCheck:
              "if not sys.flags.optimize: sys.exit('asserts not stripped')\n"
              "from tests.test_runtime_vectorized import "
              "_expect_late_producer_out_of_bounds as check; check()"],
+            cwd=root, env=dict(os.environ, PYTHONPATH=os.pathsep.join(path)),
+            capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+
+    def test_nan_input_rejected(self):
+        _expect_nan_input_rejected()
+
+    def test_nan_input_rejected_under_O(self):
+        root = Path(__file__).resolve().parents[1]
+        path = [str(root / "src"), os.environ.get("PYTHONPATH", "")]
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c",
+             "import sys\n"
+             "if not sys.flags.optimize: sys.exit('asserts not stripped')\n"
+             "from tests.test_runtime_vectorized import "
+             "_expect_nan_input_rejected as check; check()"],
             cwd=root, env=dict(os.environ, PYTHONPATH=os.pathsep.join(path)),
             capture_output=True, text=True, timeout=300,
         )

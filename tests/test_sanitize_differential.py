@@ -237,5 +237,5 @@ class TestCanaryMachinery:
     def test_nan_input_rejected(self):
         pipe = make_conv_pipeline(4, 4, Boundary.CLAMP, _mask(1, 1))
         poisoned = np.full((4, 4), np.nan, dtype=np.float32)
-        with pytest.raises(AssertionError, match="NaN-free"):
+        with pytest.raises(ValueError, match="NaN-free"):
             check_pipeline_vectorized(pipe, inputs={"inp": poisoned})

@@ -5,8 +5,12 @@ to be bit-identical to calling the vectorized executor directly, no matter
 how requests are batched, cached, or raced across workers.
 """
 
+import os
+import subprocess
+import sys
 import threading
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -308,6 +312,58 @@ class TestKernelBatching:
             assert np.array_equal(r.output, ref)
 
 
+class _ShiftedClock:
+    """The ``time`` module with a ``perf_counter`` that can be pushed ahead."""
+
+    def __init__(self):
+        self.offset = 0.0
+
+    def perf_counter(self):
+        return time.perf_counter() + self.offset
+
+    def __getattr__(self, name):
+        return getattr(time, name)
+
+
+def _expect_late_simt_result_discarded():
+    """A simulation that finishes after its deadline, while the waiting
+    worker sees a finished thread, must still take the timeout path."""
+    import importlib
+
+    from repro.serve import ExecutionPlan
+
+    engine_mod = importlib.import_module("repro.serve.engine")
+    clock = _ShiftedClock()
+    execute_simt = ExecutionPlan.execute_simt
+
+    def late(plan, image, **kwargs):
+        out = execute_simt(plan, image, **kwargs)
+        clock.offset += 120.0  # finished two minutes after it started
+        return out
+
+    img = np.random.default_rng(5).random((16, 16), dtype=np.float32)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(engine_mod, "time", clock)
+        mp.setattr(ExecutionPlan, "execute_simt", late)
+        with ServeEngine(workers=1) as engine:
+            resp = engine.run([Request(app="gaussian", image=img,
+                                       variant="naive", exec_mode="simt",
+                                       timeout_s=60.0)])[0]
+            stats = engine.stats()["engine"]
+    if not resp.ok:
+        raise AssertionError(resp.error)
+    if resp.fallbacks != ["timeout:simt->vectorized"]:
+        raise AssertionError(f"late result served as on time: {resp.fallbacks}")
+    if stats["engine.fallbacks_timeout"] != 1:
+        raise AssertionError(stats)
+    counted = {k: v for k, v in stats.items()
+               if k.startswith("engine.simt_events_") and v}
+    if counted:
+        raise AssertionError(f"discarded run's events counted: {counted}")
+    if not np.array_equal(resp.output, _direct("gaussian", img, "clamp", "naive")):
+        raise AssertionError("fallback output differs from the vectorized path")
+
+
 class TestDegradation:
     def test_compile_error_falls_back_to_naive(self, rng):
         # bilateral (5x5 window) on a 16x16 image with 32x4 blocks has a
@@ -325,11 +381,12 @@ class TestDegradation:
                               _direct("bilateral", img, "clamp", "naive"))
 
     def test_simt_timeout_falls_back_to_vectorized(self, rng):
-        # Full SIMT simulation of 48x48 gaussian takes far longer than 50ms;
-        # the engine must abandon it and serve the vectorized answer.
+        # Full SIMT simulation of 48x48 bilateral (25 taps, each with an
+        # exp) takes far longer than 50ms; the engine must abandon it and
+        # serve the vectorized answer.
         img = rng.random((48, 48), dtype=np.float32)
         with ServeEngine(workers=1) as engine:
-            resp = engine.run([Request(app="gaussian", image=img,
+            resp = engine.run([Request(app="bilateral", image=img,
                                        variant="naive", exec_mode="simt",
                                        timeout_s=0.05)])[0]
             stats = engine.stats()
@@ -337,7 +394,24 @@ class TestDegradation:
         assert "timeout:simt->vectorized" in resp.fallbacks
         assert stats["engine"]["engine.fallbacks_timeout"] == 1
         assert np.array_equal(resp.output,
-                              _direct("gaussian", img, "clamp", "naive"))
+                              _direct("bilateral", img, "clamp", "naive"))
+
+    def test_late_simt_result_is_not_served_as_on_time(self):
+        _expect_late_simt_result_discarded()
+
+    def test_late_simt_result_is_not_served_as_on_time_under_O(self):
+        root = Path(__file__).resolve().parents[1]
+        path = [str(root / "src"), os.environ.get("PYTHONPATH", "")]
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c",
+             "import sys\n"
+             "if not sys.flags.optimize: sys.exit('asserts not stripped')\n"
+             "from tests.test_serve_engine import "
+             "_expect_late_simt_result_discarded as check; check()"],
+            cwd=root, env=dict(os.environ, PYTHONPATH=os.pathsep.join(path)),
+            capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
 
     def test_simt_within_budget_serves_simulated_result(self, rng):
         img = rng.random((16, 16), dtype=np.float32)
