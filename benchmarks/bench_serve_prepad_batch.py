@@ -5,15 +5,16 @@ Paper Section I dismisses padding because of its extra memory copy — for a
 flips on the serve workload (PRs 1-6: repeated filters on same-shape
 images):
 
-* **prepad vs isp, repeated same-image** — with the plan cached, the
-  per-request cost of ``variant="prepad"`` (one total-mapping gather + one
-  check-free whole-image evaluation) must beat ``isp`` (nine region
-  evaluations) and ``naive`` (fully checked single region). Asserted on the
-  Table III small-image regime, where region-dispatch overhead dominates.
-* **the autotuner agrees** — an engine serving repeated ``variant="auto"``
-  requests of one image must *commit* prepad for that configuration after
-  its trial phase: the raw-speed tier is reachable without any client
-  opting in explicitly.
+* **the host variants tie at 64²** — with the plan cached, a 64² request
+  is one host tile under every variant: ``prepad`` pads once and reads a
+  view, ``naive``/``isp``/``isp_warp`` stage the same window once, and
+  every variant then runs the same op tape. Before the tape executor
+  prepad won this cell 2.5–9× (isp evaluated nine regions, naive mapped
+  every tap); now no arm may be more than 1.5× slower than the fastest,
+  which pins that none of them grew a per-region or per-tap cost again.
+* **the autotuner finds a near-best arm** — an engine serving repeated
+  ``variant="auto"`` requests of one image must *commit* one arm after its
+  trial phase, and that arm must measure within 1.5× of the fastest.
 * **kernel-level batching** — executing a stacked ``(N, H, W)`` batch in
   one call must amortize per-call overhead: >= 1.5x over a loop of N
   single executions at N = 8 (measured well above the crossover so loaded
@@ -35,7 +36,7 @@ from repro.serve.plan import build_plan
 
 from harness import stable_seed
 
-#: Small-image regime (region overhead dominates): prepad's home turf.
+#: Small-image regime: one host tile per request under every variant.
 SIZE = 64
 #: Batch-amortization measurement size: small enough that per-call Python
 #: overhead is a large fraction of a single execution (the quantity
@@ -63,13 +64,13 @@ def _per_call_us(fn, *, reps: int, warmup: int = 3) -> float:
     return best * 1e6
 
 
-def test_prepad_beats_isp_on_repeated_requests(benchmark, report,
-                                               bench_summary, case_rng):
+def test_repeated_requests_and_batching(benchmark, report, bench_summary,
+                                        case_rng):
     img = case_rng.standard_normal((SIZE, SIZE)).astype(np.float32)
 
     def build():
         per_call = {}
-        for variant in ("naive", "isp", "isp_warp", "prepad"):
+        for variant in ("naive", "isp", "isp_warp", "prepad", "fused"):
             plan = build_plan(APP, PATTERN, SIZE, SIZE, variant=variant)
             per_call[variant] = _per_call_us(lambda: plan.execute(img),
                                              reps=50)
@@ -140,12 +141,13 @@ def test_prepad_beats_isp_on_repeated_requests(benchmark, report,
     report("serve_prepad_batch", text, data=data)
     bench_summary("serve_prepad_batch", data)
 
-    # Prepad must beat both partitioned shapes *and* naive on repeated
-    # same-image requests — that is the tier's whole claim.
-    assert per_call["prepad"] < per_call["isp"], per_call
-    assert per_call["prepad"] < per_call["naive"], per_call
-    # The tuner must find the tier on its own.
-    assert committed == ["prepad"], committed
+    # One tile per 64² request under every variant: no arm may carry a
+    # structural cost the others do not.
+    fastest = min(per_call.values())
+    assert max(per_call.values()) < 1.5 * fastest, per_call
+    # The tuner must commit one arm, and a near-best one.
+    assert len(committed) == 1, committed
+    assert per_call[committed[0]] < 1.5 * fastest, (committed, per_call)
     # Batching must amortize: >= 1.5x over loop-of-1 at N=8.
     assert at_8["speedup"] >= 1.5, batch_rows
 
@@ -164,13 +166,14 @@ def test_padding_model_crosscheck(benchmark, report, bench_summary, case_rng):
 
     The analytic model prices prepad for the *GPU*: a bandwidth-cost copy
     (Section I's objection) plus the check-free kernel, against a naive
-    kernel whose checks are nearly free ALU. The host vectorized executor
-    prices checks very differently (gather indices + np.where per tap), so
-    the measured gain must exceed the model's — systematically, not noisily.
-    The residual gap is documented in EXPERIMENTS.md; here we pin its sign
-    and the regime structure: prepad never loses on the host set, and the
-    model agrees best on the expensive kernel (bilateral), where per-tap
-    check cost is small relative to the kernel body on both substrates.
+    kernel whose checks are nearly free ALU. The host executor stages each
+    tile's window once (naive) or pads the image once (prepad) and then
+    runs the same op tape, so the host arms tie: prepad neither wins nor
+    loses by much. The model's GPU gain (0.6-1.8x) is reported beside it,
+    not gated: the host no longer has a per-tap check cost for it to be
+    compared against. (Before the tape executor the host mapped every tap,
+    prepad won 1.2-5x and sat above the model on every gaussian cell;
+    EXPERIMENTS.md keeps both.)
     """
     from repro.model.prediction import predict_prepad
     from repro.serve.plan import trace_app
@@ -212,18 +215,8 @@ def test_padding_model_crosscheck(benchmark, report, bench_summary, case_rng):
     report("prepad_model_crosscheck", "\n".join(lines), data={"cells": rows})
     bench_summary("prepad_model_crosscheck", {"cells": rows})
 
-    # Prepad never loses on the host across the whole set.
-    assert all(r["measured_gain"] > 1.0 for r in rows), rows
-    # The model is conservative in the same direction everywhere it and the
-    # measurement disagree: measured >= model on the cheap kernel's cells.
-    cheap = [r for r in rows if r["app"] == "gaussian"]
-    assert all(r["measured_gain"] > r["model_gain"] for r in cheap), cheap
-    # On the expensive kernel the two substrates converge: the model's gain
-    # is within a factor of 2 of the measurement for every bilateral cell.
-    exp = [r for r in rows if r["app"] == "bilateral"]
-    assert all(
-        0.5 < r["model_gain"] / r["measured_gain"] < 2.0 for r in exp
-    ), exp
+    # Pad once or stage once: neither host arm wins or loses by much.
+    assert all(2 / 3 < r["measured_gain"] < 1.5 for r in rows), rows
 
 
 def test_engine_kernel_batches_same_signature_requests(benchmark, case_rng,

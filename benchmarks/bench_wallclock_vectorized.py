@@ -1,12 +1,13 @@
-"""Wall-clock grounding: the ISP effect measured for real on the host.
+"""Wall-clock grounding: the ISP schedule measured for real on the host.
 
-The simulated GPU gives the paper's tables; this benchmark demonstrates the
-same mechanism with *actual measured time*: the vectorized host executor
-evaluates the identical kernel description either with full border-index
-mapping on every tap (naive) or region-sliced with a mapping-free Body
-(ISP). Because the border strips are O(perimeter) and the body O(area), the
-region-sliced variant wins, and wins more at larger sizes — the paper's
-Figure 3 argument, observable on any machine this test runs on.
+The simulated GPU gives the paper's tables; this benchmark times the same
+kernel descriptions on the host executor, which stages every tile's input
+windows through the border mapping (naive) or reads views for the tiles
+whose halo lies inside the image (ISP). The host stages a window once per
+tile rather than mapping every tap, so the checks ISP removes cost one
+copy per tile here, and the two schedules run within a few percent of each
+other (EXPERIMENTS.md "Host executor"); before the tape executor, per-tap
+mapping made ISP win 2.4-2.7x.
 
 These are genuine pytest-benchmark timings (multiple rounds, statistics).
 """
@@ -51,7 +52,7 @@ def test_wallclock(benchmark, app, boundary, size, variant):
 
 
 def test_wallclock_isp_beats_naive(benchmark):
-    """Direct A/B: region-sliced beats full-mapping on the same kernel.
+    """Direct A/B: the ISP schedule never loses to staging every tile.
 
     (The per-variant numbers above are for the report; this test asserts the
     relationship in one process to avoid cross-run noise.)
@@ -80,4 +81,6 @@ def test_wallclock_isp_beats_naive(benchmark):
     )
     speedup = t_naive / t_isp
     print(f"\nhost wall-clock ISP speedup (gaussian/repeat/1536): {speedup:.2f}x")
-    assert speedup > 1.1, f"expected region slicing to win, got {speedup:.3f}x"
+    # ISP does strictly less work (views instead of staged copies for the
+    # inside tiles), worth a few percent: it must not lose beyond noise.
+    assert speedup > 0.95, f"expected ISP not to lose, got {speedup:.3f}x"

@@ -68,6 +68,9 @@ class KernelDescription:
     #: accesses grouped per accessor (for analysis/reporting)
     accesses: dict[int, list[PixelAccess]] = dataclasses.field(default_factory=dict)
     output_name: str = "out"
+    #: the host executor's op tape (:func:`repro.runtime.vectorized.lower`),
+    #: set by the description's first host execution and immutable afterwards
+    tape: object = dataclasses.field(default=None, repr=False, compare=False)
 
     @property
     def is_point_operator(self) -> bool:

@@ -7,9 +7,10 @@ This pass extends the idea *across* kernels, following the overlapped-tiling
 formulation of Jangda & Guha (arXiv:1909.07190): the final output is tiled,
 and for each tile every producer stage computes just the region its
 consumers read — the tile plus a halo that accumulates back-to-front
-through the pipeline. Interior tiles run check-free; tiles whose reads
-cross a true image border reuse the ISP region machinery (per-axis strips
-with check sets, paper Eq. 1) at tile granularity.
+through the pipeline. The host executor tiles each step's region like a
+staged ``isp`` kernel (views inside the image, windows staged through the
+border mapping elsewhere); each step also records its ISP split (per-axis
+strips with check sets, paper Eq. 1) for the textual schedule.
 
 The schedule is pure geometry: it depends on the traced kernels and the
 tile shape, never on pixel values or batch size, so it is computed once at
@@ -47,7 +48,8 @@ class FusedStep:
     #: produced buffer region (x0, x1, y0, y1) in image coordinates
     region: tuple[int, int, int, int]
     #: ISP split of the region: (x0, x1, y0, y1, checks) sub-rectangles;
-    #: empty checks = check-free interior evaluation
+    #: empty checks = check-free interior. Printed by :meth:`FusedPlan
+    #: .describe` (the fused-plan goldens); the host tiles a step itself
     subrects: tuple[tuple[int, int, int, int, frozenset[str]], ...]
 
 
@@ -179,10 +181,8 @@ def split_region(
     ``x_cuts[1]`` the right one; ``y_cuts`` does the same for top/bottom.
     Returns the non-empty (x0, x1, y0, y1, checks) sub-rectangles, rows
     outer. A sub-rectangle's check set says which true image borders its
-    reads may cross; the evaluator refines it per access by offset sign.
-    This is the one ISP split: fused steps cut at the stage's extent, and
-    the host executor's ``isp`` / ``isp_warp`` variants split the whole
-    image with it (paper Eq. 1 at pixel or warp granularity).
+    reads may cross. Fused steps record their split at the stage's extent
+    (paper Eq. 1 at pixel granularity) for :meth:`FusedPlan.describe`.
     """
     x0, x1, y0, y1 = region
     xs = _axis_strips(*x_cuts, width, "left", "right")
@@ -208,8 +208,9 @@ def _axis_hull(
     In-range reads map to themselves; out-of-range reads map per pattern —
     non-locally for REPEAT and deep MIRROR, which is why this walks the
     scalar golden mapping instead of clipping. CONSTANT out-of-range reads
-    still *index* the clamped coordinate before masking (the vectorized
-    evaluator's np.maximum/np.minimum), so they hull to the clamped edge.
+    still *index* the clamped coordinate before masking (the host's total
+    mapping clamps, and a staged window's bounds check covers the clamped
+    index), so they hull to the clamped edge.
     """
     if lo >= hi:
         return lo, hi

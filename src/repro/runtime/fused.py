@@ -2,20 +2,24 @@
 
 Replays the geometry-only schedule built by
 :func:`repro.compiler.fusion.fuse_descs`: for each output tile, every live
-stage evaluates just the region its consumers read into a small per-tile
-buffer, so no full-image intermediate is ever materialized. Each step is one
-more set of rectangles for the staged executor's region evaluator
-(:mod:`repro.runtime.vectorized`): a stage's taps read each per-tile buffer
-as a source whose origin is that buffer's region origin, and external
-inputs as full images at origin (0, 0). Border mapping runs against the
-full image size through the same vectorized mapping as the staged
-nine-region executor, which is what makes fused output bit-exact against
-staged — both select source pixels through the identical mapping, and every
-arithmetic node is an elementwise float32 NumPy op whose value is
-independent of the evaluation footprint.
+stage evaluates just the region its consumers read into a per-tile stage
+buffer, so no full-image intermediate is ever materialized. Each step
+runs through the staged executor's tape runner
+(:func:`repro.runtime.vectorized.run_tape`): the stage's tape reads each
+per-tile buffer as a source whose origin is that buffer's region origin,
+and external inputs as full images at origin (0, 0). A step's region runs
+the staged ``isp`` schedule: its host tiles whose halo lies inside the
+image read views, and the others stage their windows through the same
+total border mapping as the staged executor. That is what makes fused
+output bit-exact against staged — both select source pixels through the
+identical mapping and run the identical tape, whose every op is an
+elementwise float32 ufunc whose value is independent of the evaluation
+footprint. The last stage writes straight into the output tile.
 
-Like every other executor here, the fused path is batch-aware: leading axes
-on the external inputs carry through each per-tile buffer untouched.
+Stage buffers and tape scratch come from one pool per call, so a
+many-tile plan allocates each once rather than once per tile. Like every
+other executor here, the fused path is batch-aware: leading axes on the
+external inputs carry through each per-tile buffer untouched.
 """
 
 from __future__ import annotations
@@ -29,7 +33,16 @@ from ..compiler.frontend import trace_kernel
 from ..compiler.fusion import FusedPlan, fuse_descs
 from ..dsl.pipeline import Pipeline
 from ..trace import core as _trace_core
-from .vectorized import Source, _bind_inputs, _check_inputs, _eval_rects
+from .make_border import ELEMENT_DTYPE
+from .vectorized import (
+    Source,
+    _bind_inputs,
+    _check_inputs,
+    _take,
+    lower,
+    run_tape,
+    schedule,
+)
 
 
 def run_fused(
@@ -50,25 +63,32 @@ def run_fused(
         images,
     )
     ext: dict[str, Source] = {
-        name: (np.asarray(images[name], dtype=np.float32), 0, 0)
+        name: (np.asarray(images[name], dtype=ELEMENT_DTYPE), 0, 0)
         for name in plan.external_inputs
     }
 
-    out = np.empty((*lead, plan.height, plan.width), dtype=np.float32)
+    w, h = plan.width, plan.height
+    last = len(plan.descs) - 1
+    out = np.empty((*lead, h, w), dtype=ELEMENT_DTYPE)
+    pool: dict = {}
     for tile in plan.tiles:
         bufs = dict(ext)
         for step in tile.steps:
             desc = plan.descs[step.stage]
-            rx0, rx1, ry0, ry1 = step.region
-            buf = np.empty((*lead, ry1 - ry0, rx1 - rx0), dtype=np.float32)
-            sources = {id(acc): bufs[acc.image.name] for acc in desc.accessors}
-            _eval_rects(desc, sources, step.subrects, buf, rx0, ry0)
-            bufs[desc.output_name] = (buf, rx0, ry0)
-        fbuf, fx, fy = bufs[plan.output_name]
-        tx0, tx1, ty0, ty1 = tile.rect
-        out[..., ty0:ty1, tx0:tx1] = fbuf[
-            ..., ty0 - fy : ty1 - fy, tx0 - fx : tx1 - fx
-        ]
+            tape = lower(desc)
+            x0, x1, y0, y1 = step.region
+            if step.stage == last:
+                dest: Source = (out, 0, 0)  # its region is the tile
+            else:
+                dest = (_take(pool, ("stage", step.stage),
+                              (*lead, y1 - y0, x1 - x0)), x0, y0)
+            # The step's region runs the isp schedule: host tiles inside
+            # the image read views, the rest are staged.
+            run_tape(tape, schedule("isp", w, h, *desc.extent,
+                                    region=step.region),
+                     [bufs[acc.image.name] for acc in tape.accessors],
+                     dest, w, h, pool)
+            bufs[desc.output_name] = dest
 
     if trace_ctx is not None:
         tracer, parent = trace_ctx

@@ -1,71 +1,70 @@
-"""Vectorized host executor: region-sliced NumPy evaluation of DSL kernels.
+"""Vectorized host executor: each kernel as an op tape, run tile by tile.
 
 This is the second execution path of DESIGN.md: it evaluates the *same*
 kernel description the compiler lowers, but with whole-array NumPy operations
-on the host. Every variant runs the one region evaluator
-(:class:`_RegionEvaluator`) over a list of output rectangles, each carrying
-the border sides its taps may cross; the variants differ only in the
-rectangles and in the *source* each tap reads — a buffer plus the image
-coordinates of its origin:
+on the host. Two pieces do all the work:
 
-* ``naive`` — one rectangle with every check: each tap's coordinates go
-  through the full border mapping (``np.clip`` / modulo / reflection over
-  the entire coordinate range), the host analogue of executing the checks
-  for every pixel;
-* ``isp`` — the iteration space is partitioned at *pixel* granularity into
-  the nine regions (the CPU partitioning of paper Section III-C, Eq. 1,
-  split by :func:`repro.compiler.fusion.split_region`); the Body region
-  evaluates with pure slicing — no index mapping at all — and only the thin
-  border strips pay for the mapping;
-* ``isp_warp`` — the nine regions with warp-aligned x cuts (paper
-  Listing 5's granularity);
-* ``prepad`` — the raw-speed tier: :func:`repro.runtime.make_border
-  .make_border` materializes the apron once, then one check-free rectangle
-  reads the padded buffer, whose origin sits at image coordinates
-  ``(-hx, -hy)``. The copy is O(area) but amortizes across taps, pipeline
-  stages (one ``pad_cache`` shared across calls) and repeated same-image
-  requests — exactly the serve workload where the paper's "padding is
-  costly" framing (Section I) inverts.
+* **a tape per kernel** — at its first use, :func:`lower` flattens the
+  expression tree into a list of ufunc calls in the tree's own float32
+  evaluation order (shared subexpressions once, constant subtrees folded)
+  and memoizes it on the description. Each call writes with ``out=`` into
+  a few scratch buffers allocated per call (cached plans are shared across
+  worker threads, so nothing mutable lives on the tape); the root writes
+  straight into the output;
+* **a window per input per tile** — a tile reads each input through one
+  window: the tile plus that input's tap hull. When the window lies inside
+  its source the window is a view; otherwise it is a buffer staged by one
+  gather through the total border mappings (:func:`repro.runtime
+  .make_border.gather`). Every tap is then a slice of its window, and
+  bounds are checked once per window: a read outside the source raises
+  :class:`OutOfBoundsError`, a plain check that holds under ``python -O``.
 
-The fused executor (:mod:`repro.runtime.fused`) drives the same evaluator
-over per-tile stage buffers. Every read is bounds-checked against its
-source buffer and a read outside raises :class:`OutOfBoundsError` — a plain
-check, so it holds under ``python -O`` as well.
+The variants are schedules of tiles under one tile shape
+(:data:`TILE_ROWS` x :data:`TILE_COLS`), so a 64² image is one tile:
 
-Because the border strips are O(perimeter) while the body is O(area), the
-host speedup of ``isp`` over ``naive`` grows with image size exactly like the
-paper's Figure 3 predicts, which makes this executor a genuinely *measured*
-(wall-clock) reproduction of the ISP effect; ``benchmarks/
-bench_wallclock_vectorized.py`` times it with pytest-benchmark.
+* ``naive`` stages every tile through the full mapping — the host
+  analogue of executing the checks for every pixel;
+* ``isp`` reads views for the tiles whose halo lies inside the image —
+  the paper's check-free Body (Section III-C) at tile granularity — and
+  stages only the tiles that touch the edge. ``isp_warp`` runs the same
+  schedule: warp-aligned cuts (paper Listing 5) have no host mechanism;
+* ``prepad`` is one staged tile over the whole image: :func:`repro.runtime
+  .make_border.make_border` materializes the apron once (reused through a
+  caller's ``pad_cache`` across stages and requests), then every tile
+  reads a view of the padded buffer.
 
-Every variant is batch-aware: images may carry leading axes (``(N, H, W)``),
-which evaluate in one NumPy call per tap — the kernel-level batching the
-serve engine stacks same-signature requests into.
+The fused executor (:mod:`repro.runtime.fused`) runs the same tapes and
+windows over its per-tile stage buffers. Every variant is batch-aware:
+images may carry leading axes (``(N, H, W)``), which ride through every
+window and every op untouched — the kernel-level batching the serve
+engine stacks same-signature requests into.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import functools
+import math
 import time
 from typing import Iterable, Optional
 
 import numpy as np
 
 from ..compiler.frontend import KernelDescription, trace_kernel
-from ..compiler.fusion import split_region
 from ..dsl.accessor import Accessor
 from ..dsl.boundary import Boundary
+from ..dsl.expr import BinOp, Const, PixelAccess, UnOp, walk
+from ..dsl.pipeline import Pipeline
 from ..faults import core as _faults
 from ..faults.core import FaultError
 from ..trace import core as _trace_core
-from ..dsl.expr import BinOp, Const, Expr, PixelAccess, UnOp
-from ..dsl.pipeline import Pipeline
+from .make_border import ELEMENT_DTYPE, gather, padded_for, window_axis
 
-_UN_FUNCS = {
-    "neg": lambda x: -x,
-    "abs": np.abs,
+#: Unary ops that are one ufunc; ``rsqrt`` and ``rcp`` lower to a divide.
+_UNARY = {
+    "neg": np.negative,
+    "abs": np.absolute,
     "sqrt": np.sqrt,
-    "rsqrt": lambda x: np.float32(1.0) / np.sqrt(x),
-    "rcp": lambda x: np.float32(1.0) / x,
     "exp": np.exp,
     "exp2": np.exp2,
     "log": np.log,
@@ -74,7 +73,7 @@ _UN_FUNCS = {
     "cos": np.cos,
 }
 
-_BIN_FUNCS = {
+_BINARY = {
     "add": np.add,
     "sub": np.subtract,
     "mul": np.multiply,
@@ -83,31 +82,34 @@ _BIN_FUNCS = {
     "max": np.maximum,
 }
 
-#: Output-pixel rectangle ``(x0, x1, y0, y1, checks)``: columns [x0, x1),
-#: rows [y0, y1), and the border sides its taps may cross — the
-#: sub-rectangle form :func:`repro.compiler.fusion.split_region` returns.
-Rect = tuple[int, int, int, int, frozenset]
+_ONE = np.float32(1.0)
 
-#: Where a tap reads: ``(buffer, ox, oy)`` — the buffer's element
+#: Output tile ``(x0, x1, y0, y1, view)``: columns [x0, x1), rows [y0, y1),
+#: and whether every input window of the tile is a view of its source
+#: (``False``: staged through the border mapping).
+Tile = tuple[int, int, int, int, bool]
+
+#: Where an input lives: ``(buffer, ox, oy)`` — the buffer's element
 #: ``[..., 0, 0]`` holds image pixel ``(ox, oy)``.
 Source = tuple[np.ndarray, int, int]
 
 
 class OutOfBoundsError(IndexError):
-    """A tap read fell outside its source buffer.
+    """A window fell outside its source buffer.
 
     NumPy would wrap a negative index to the far side of the buffer instead
-    of failing, so every read is checked before it is indexed.
+    of failing, so every window is checked before it is read.
     """
 
 
-#: Default warp width (NVIDIA) — the x-granularity of the warp-grained
-#: re-routing in paper Listing 5. Callers with a device in hand pass
-#: ``device.warp_size`` instead (64 on the wave64 AMD-like zoo entries).
-WARP_WIDTH = 32
-
 #: Every vectorized code shape this executor can run.
 VECTORIZED_VARIANTS = ("naive", "isp", "isp_warp", "prepad")
+
+#: The one host tile shape. Large enough that a 64² request is one tile (the
+#: per-tile Python cost is paid once), small enough that a tile's scratch
+#: buffers stay cache-resident at the paper's image sizes.
+TILE_ROWS = 128
+TILE_COLS = 512
 
 
 def degenerate_geometry(width: int, height: int, hx: int, hy: int) -> bool:
@@ -119,257 +121,322 @@ def degenerate_geometry(width: int, height: int, hx: int, hy: int) -> bool:
     ``x >= width - hx``, so a both-sided pixel exists iff
     ``width - hx < hx``, i.e. ``width < 2*hx``. The boundary case
     ``width == 2*hx`` is *not* degenerate — the Body strip is empty but
-    every remaining strip is single-sided, which the region evaluator
-    handles exactly (pinned by the ``w in {2hx-1, 2hx, 2hx+1}`` edge tests).
-    This is precisely :class:`repro.compiler.regions.RegionGeometry`'s
-    ``degenerate`` at block granularity ``(1, 1)``, which is what makes the
-    two layers' fallback conditions agree (asserted by
-    ``tests/test_runtime_vectorized.py``); the compiler's *block-granular*
-    condition is strictly more conservative for real block shapes.
+    every remaining strip is single-sided. This is precisely
+    :class:`repro.compiler.regions.RegionGeometry`'s ``degenerate`` at block
+    granularity ``(1, 1)`` (asserted by ``tests/test_make_border.py``); the
+    compiler's *block-granular* condition is strictly more conservative for
+    real block shapes. On the host no tile of a degenerate image lies
+    inside it, so every tile is staged.
     """
     return (hx > 0 and width < 2 * hx) or (hy > 0 and height < 2 * hy)
 
 
-def _variant_rects(
-    variant: str, width: int, height: int, hx: int, hy: int, warp: int
-) -> list[Rect]:
-    """The output rectangles one variant evaluates.
+@functools.lru_cache(maxsize=256)
+def schedule(
+    variant: str, width: int, height: int, hx: int, hy: int,
+    tile_rows: Optional[int] = None,
+    region: Optional[tuple[int, int, int, int]] = None,
+) -> tuple[Tile, ...]:
+    """The tiles one variant evaluates over ``region`` (x0, x1, y0, y1;
+    default the whole image), rows outer.
 
-    ``isp`` cuts at the window extent (paper Eq. 1); ``isp_warp`` rounds
-    the x cuts outward to warp multiples — a warp is the granularity at
-    which the GPU dispatch re-routes work (paper Listing 5), so the L/R
-    strips widen to whole warps, whose extra pixels run harmless identity
-    checks, while the Body stays check-free. Both fall back to the naive
-    single rectangle on degenerate geometry, like the compiler.
+    ``tile_rows`` overrides :data:`TILE_ROWS` (memory-bounded streaming of
+    large requests). Tiles cover the region exactly once; which of them
+    read views is the only thing the variants disagree on.
     """
-    if variant == "prepad":
-        # No degenerate fallback: the total mappings in make_border handle
-        # any apron depth, over-wide windows included.
-        return [(0, width, 0, height, frozenset())]
     if variant not in VECTORIZED_VARIANTS:
         raise ValueError(f"unknown vectorized variant {variant!r}")
-    if variant == "naive" or degenerate_geometry(width, height, hx, hy):
-        checks = set()
-        if hx > 0:
-            checks |= {"left", "right"}
-        if hy > 0:
-            checks |= {"top", "bottom"}
-        return [(0, width, 0, height, frozenset(checks))]
-    x_cuts = (hx, width - hx)
-    if variant == "isp_warp" and hx > 0:
-        x_cuts = (-(-hx // warp) * warp, ((width - hx) // warp) * warp)
-    return list(split_region((0, width, 0, height), width, height,
-                             x_cuts, (hy, height - hy)))
-
-
-def _map_axis(
-    coords: np.ndarray,
-    size: int,
-    boundary: Boundary,
-    check_low: bool,
-    check_high: bool,
-) -> tuple[np.ndarray, Optional[np.ndarray]]:
-    """Vectorized analogue of :func:`repro.compiler.border.emit_axis_checks`.
-
-    Returns (mapped coordinates, validity mask or None).
-    """
-    if not (check_low or check_high) or boundary is Boundary.UNDEFINED:
-        return coords, None
-    if boundary is Boundary.CLAMP:
-        if check_low and check_high:
-            return np.clip(coords, 0, size - 1), None
-        if check_low:
-            return np.maximum(coords, 0), None
-        return np.minimum(coords, size - 1), None
-    if boundary is Boundary.MIRROR:
-        c = coords
-        need_total = check_low and check_high
-        if not need_total and c.size:
-            # The per-tap sign filter can leave only one side checked even
-            # though the tap reaches more than one image-size past the edge
-            # (degenerate geometry); a single reflection would then exit the
-            # opposite side, so promote to the total mapping.
-            if check_low and (c.min() < -size or c.max() >= size):
-                need_total = True
-            if check_high and (c.max() >= 2 * size or c.min() < 0):
-                need_total = True
-        if need_total:
-            # Total triangular reflection, bit-identical to the IR lowering
-            # in ``emit_axis_checks``: floored mod by the period, then
-            # reflect the upper half.  A single reflection per side is wrong
-            # for taps more than one image-size past the edge (c=-7, size=3
-            # -> 6 -> -1, which fancy indexing silently wraps).
-            r = np.mod(c, 2 * size)
-            return np.where(r < size, r, 2 * size - 1 - r), None
-        if check_low:
-            c = np.where(c < 0, -c - 1, c)
-        if check_high:
-            c = np.where(c >= size, 2 * size - 1 - c, c)
-        return c, None
-    if boundary is Boundary.REPEAT:
-        return np.mod(coords, size), None
-    if boundary is Boundary.CONSTANT:
-        valid = np.ones(coords.shape, dtype=bool)
-        c = coords
-        if check_low:
-            valid &= c >= 0
-            c = np.maximum(c, 0)
-        if check_high:
-            valid &= c < size
-            c = np.minimum(c, size - 1)
-        return c, valid
-    raise AssertionError(f"unhandled boundary {boundary}")
-
-
-class _RegionEvaluator:
-    """Evaluates the expression tree over one output rectangle.
-
-    ``sources`` maps ``id(accessor)`` to the :data:`Source` its taps read.
-    Border mapping always runs against the full image size (every image a
-    kernel reads shares its output geometry), then translates into buffer
-    coordinates.
-    """
-
-    def __init__(
-        self,
-        desc: KernelDescription,
-        sources: dict[int, Source],
-        rect: Rect,
-    ):
-        self.desc = desc
-        self.sources = sources
-        self.rect = rect
-        self._memo: dict[int, np.ndarray] = {}
-
-    def eval(self, expr: Expr) -> np.ndarray:
-        # Iterative post-order evaluation: a convolution over a large window
-        # is one add-chain as deep as the tap count, which overflows Python's
-        # recursion limit exactly in the small-image / large-window corner
-        # the border tests care about.
-        memo = self._memo
-        stack = [expr]
-        while stack:
-            node = stack[-1]
-            if id(node) in memo:
-                stack.pop()
-                continue
-            if isinstance(node, BinOp):
-                deps = (node.lhs, node.rhs)
-            elif isinstance(node, UnOp):
-                deps = (node.operand,)
-            else:
-                deps = ()
-            pending = [d for d in deps if id(d) not in memo]
-            if pending:
-                stack.extend(pending)
-                continue
-            memo[id(node)] = self._eval_node(node)
-            stack.pop()
-        return memo[id(expr)]
-
-    def _eval_node(self, expr: Expr) -> np.ndarray:
-        """Evaluate one node whose children are already memoized."""
-        if isinstance(expr, Const):
-            return np.float32(expr.value)
-        if isinstance(expr, BinOp):
-            lhs, rhs = self._memo[id(expr.lhs)], self._memo[id(expr.rhs)]
-            return _BIN_FUNCS[expr.op](lhs, rhs, dtype=np.float32)
-        if isinstance(expr, UnOp):
-            src = self._memo[id(expr.operand)]
-            return _UN_FUNCS[expr.op](src).astype(np.float32, copy=False)
-        if isinstance(expr, PixelAccess):
-            return self._eval_access(expr)
-        raise TypeError(f"cannot evaluate {expr!r}")
-
-    def _eval_access(self, access: PixelAccess) -> np.ndarray:
-        acc = access.accessor
-        buf, ox, oy = self.sources[id(acc)]
-        bh, bw = buf.shape[-2:]
-        x0, x1, y0, y1, checks = self.rect
-        dx, dy = access.dx, access.dy
-
-        check_left = dx < 0 and "left" in checks
-        check_right = dx > 0 and "right" in checks
-        check_top = dy < 0 and "top" in checks
-        check_bottom = dy > 0 and "bottom" in checks
-
-        if not (check_left or check_right or check_top or check_bottom):
-            # Body fast path: a pure slice — the host analogue of the
-            # check-free Body region code. The ellipsis carries any leading
-            # batch axes through untouched.
-            r0, r1 = y0 + dy - oy, y1 + dy - oy
-            c0, c1 = x0 + dx - ox, x1 + dx - ox
-            if r0 < 0 or c0 < 0 or r1 > bh or c1 > bw:
-                raise OutOfBoundsError(
-                    f"{access!r} slices rows [{r0}:{r1}) cols [{c0}:{c1}) "
-                    f"of a {bh}x{bw} source"
-                )
-            return buf[..., r0:r1, c0:c1]
-
-        boundary = acc.boundary
-        xs, vx = _map_axis(np.arange(x0 + dx, x1 + dx), self.desc.width,
-                           boundary, check_left, check_right)
-        ys, vy = _map_axis(np.arange(y0 + dy, y1 + dy), self.desc.height,
-                           boundary, check_top, check_bottom)
-        if ox:
-            xs = xs - ox
-        if oy:
-            ys = ys - oy
-        # A mapping applied on one side must never push a coordinate out
-        # the *opposite* side, and an unchecked axis must already be in the
-        # buffer.
-        if xs.min() < 0 or xs.max() >= bw or ys.min() < 0 or ys.max() >= bh:
-            raise OutOfBoundsError(
-                f"{boundary.value} mapping of {access!r} reads rows "
-                f"[{ys.min()}, {ys.max()}] cols [{xs.min()}, {xs.max()}] "
-                f"of a {bh}x{bw} source"
-            )
-        values = buf[..., ys[:, None], xs[None, :]]
-        if vx is not None or vy is not None:
-            valid = np.ones((ys.size, xs.size), dtype=bool)
-            if vy is not None:
-                valid &= vy[:, None]
-            if vx is not None:
-                valid &= vx[None, :]
-            values = np.where(
-                valid, values, np.float32(acc.constant)
-            ).astype(np.float32)
-        return values
-
-
-def _eval_rects(
-    desc: KernelDescription,
-    sources: dict[int, Source],
-    rects: Iterable[Rect],
-    out: np.ndarray,
-    ox: int = 0,
-    oy: int = 0,
-) -> None:
-    """Evaluate ``desc`` over each rectangle into ``out``, a buffer whose
-    origin sits at image coordinates ``(ox, oy)``."""
-    for rect in rects:
-        x0, x1, y0, y1, _ = rect
-        out[..., y0 - oy : y1 - oy, x0 - ox : x1 - ox] = _RegionEvaluator(
-            desc, sources, rect
-        ).eval(desc.expr)
-
-
-def _split_rows(rects: list[Rect], tile_rows: int) -> list[Rect]:
-    """Split tall rectangles into row bands of at most ``tile_rows`` rows.
-
-    The checks set of a band equals its parent's (checks depend only on
-    which true image borders a rectangle touches, and coordinates stay
-    absolute), so banding never changes results — it only bounds the peak
-    temporary-array footprint, which is what lets a serve worker stream a
-    large request instead of materializing whole-image intermediates per tap.
-    """
+    if tile_rows is None:
+        tile_rows = TILE_ROWS
     if tile_rows <= 0:
         raise ValueError("tile_rows must be positive")
-    return [
-        (x0, x1, y, min(y + tile_rows, y1), checks)
-        for x0, x1, y0, y1, checks in rects
-        for y in range(y0, y1, tile_rows)
-    ]
+    rx0, rx1, ry0, ry1 = region or (0, width, 0, height)
+    tiles = []
+    for y0 in range(ry0, ry1, tile_rows):
+        y1 = min(y0 + tile_rows, ry1)
+        for x0 in range(rx0, rx1, TILE_COLS):
+            x1 = min(x0 + TILE_COLS, rx1)
+            if variant == "prepad":
+                view = True
+            elif variant == "naive":
+                view = False
+            else:
+                view = (x0 >= hx and x1 + hx <= width
+                        and y0 >= hy and y1 + hy <= height)
+            tiles.append((x0, x1, y0, y1, view))
+    return tuple(tiles)
+
+
+@dataclasses.dataclass(frozen=True)
+class Tape:
+    """One kernel lowered to a flat list of ufunc calls.
+
+    Operands index one value list per tile: the tap slices (``reads``),
+    then the folded constants, then ``n_scratch`` scratch buffers, then the
+    output. Each op is ``(ufunc, a, b, out)``, with ``b < 0`` for a unary
+    call.
+    """
+
+    #: the accessors that are read, each with its tap hull
+    #: ``(dx0, dx1, dy0, dy1)`` (inclusive)
+    accessors: tuple[Accessor, ...]
+    hulls: tuple[tuple[int, int, int, int], ...]
+    #: ``(accessor position, dx - dx0, dy - dy0)`` per tap slice
+    reads: tuple[tuple[int, int, int], ...]
+    consts: tuple[np.float32, ...]
+    n_scratch: int
+    ops: tuple[tuple[object, int, int, int], ...]
+    #: value index of the kernel's result (the output's index when the
+    #: last op writes there)
+    result: int
+
+    @property
+    def output(self) -> int:
+        return len(self.reads) + len(self.consts) + self.n_scratch
+
+
+def lower(desc: KernelDescription) -> Tape:
+    """The description's tape, built at its first use and memoized on it.
+
+    Concurrent first uses may each build one; they are equal, and the
+    last assignment wins.
+    """
+    tape = desc.tape
+    if tape is None:
+        tape = desc.tape = _build_tape(desc)
+    return tape
+
+
+def _build_tape(desc: KernelDescription) -> Tape:
+    # SSA pass, in node creation order — the order the user's kernel()
+    # body built the tree, children before parents, which keeps liveness
+    # close to the source program's (an accumulator chain interleaves each
+    # product with its sum, so one product is live at a time). Shared nodes
+    # once. A value is ("r", tap) / ("c", constant) / ("v", instruction) /
+    # ("n", value): a negation not emitted yet, because a sum consumes it as
+    # a subtraction (x * 1 == x, x * -1 == -x and a + -x == a - x hold bit
+    # for bit, so a +-1 mask tap costs one op like the floor's).
+    accessors: list[Accessor] = []
+    taps: dict[tuple[int, int, int], int] = {}
+    instrs: list[tuple[object, tuple]] = []
+    value: dict[int, tuple] = {}
+
+    def emit(func, *args):
+        if all(a[0] == "c" for a in args):
+            return ("c", func(*(a[1] for a in args)))
+        instrs.append((func, args))
+        return ("v", len(instrs) - 1)
+
+    def operand(node) -> tuple:
+        v = value[id(node)]
+        if v[0] == "n":
+            v = value[id(node)] = emit(np.negative, v[1])
+        return v
+
+    def scaled(c, v) -> tuple:
+        if c == 1:
+            return v
+        if v[0] == "n":
+            return v[1]
+        return emit(np.negative, v) if v[0] == "c" else ("n", v)
+
+    for node in sorted(walk(desc.expr), key=lambda n: n.seq):
+        if isinstance(node, Const):
+            value[id(node)] = ("c", np.float32(node.value))
+        elif isinstance(node, PixelAccess):
+            acc = node.accessor
+            pos = next((i for i, a in enumerate(accessors) if a is acc), None)
+            if pos is None:
+                pos = len(accessors)
+                accessors.append(acc)
+            key = (pos, node.dx, node.dy)
+            value[id(node)] = ("r", taps.setdefault(key, len(taps)))
+        elif isinstance(node, BinOp):
+            lhs, rhs = value[id(node.lhs)], value[id(node.rhs)]
+            if node.op in ("add", "sub") and rhs[0] == "n":
+                func = np.subtract if node.op == "add" else np.add
+                v = emit(func, operand(node.lhs), rhs[1])
+            elif node.op == "add" and lhs[0] == "n":
+                v = emit(np.subtract, operand(node.rhs), lhs[1])
+            elif node.op == "mul" and lhs[0] == "c" and abs(lhs[1]) == 1:
+                v = scaled(lhs[1], rhs)
+            elif node.op == "mul" and rhs[0] == "c" and abs(rhs[1]) == 1:
+                v = scaled(rhs[1], lhs)
+            else:
+                v = emit(_BINARY[node.op], operand(node.lhs),
+                         operand(node.rhs))
+            value[id(node)] = v
+        elif isinstance(node, UnOp):
+            v = operand(node.operand)
+            if node.op == "rsqrt":
+                v = emit(np.divide, ("c", _ONE), emit(np.sqrt, v))
+            elif node.op == "rcp":
+                v = emit(np.divide, ("c", _ONE), v)
+            else:
+                v = emit(_UNARY[node.op], v)
+            value[id(node)] = v
+        else:
+            raise TypeError(f"cannot evaluate {node!r}")
+    root = operand(desc.expr)
+
+    hulls = []
+    for pos in range(len(accessors)):
+        ds = [(dx, dy) for p, dx, dy in taps if p == pos]
+        hulls.append((min(d[0] for d in ds), max(d[0] for d in ds),
+                      min(d[1] for d in ds), max(d[1] for d in ds)))
+    reads = tuple(
+        (p, dx - hulls[p][0], dy - hulls[p][2]) for p, dx, dy in taps
+    )
+
+    # Slot pass: an instruction's result lives in a scratch slot until its
+    # last use; an op whose operand dies there writes over it in place.
+    last_use = {}
+    for i, (_, args) in enumerate(instrs):
+        for a in args:
+            if a[0] == "v":
+                last_use[a[1]] = i
+    slot_of: dict[int, Optional[int]] = {}
+    free: list[int] = []
+    n_scratch = 0
+    for i, (_, args) in enumerate(instrs):
+        dying = []
+        for a in args:
+            if a[0] == "v" and last_use[a[1]] == i and slot_of[a[1]] not in dying:
+                dying.append(slot_of[a[1]])
+        if i == len(instrs) - 1:
+            out = None  # the root writes the output
+        elif dying:
+            out = dying.pop(0)
+        elif free:
+            out = free.pop()
+        else:
+            out, n_scratch = n_scratch, n_scratch + 1
+        free.extend(dying)
+        slot_of[i] = out
+
+    consts = [a[1] for _, args in instrs for a in args if a[0] == "c"]
+    base = len(taps) + len(consts)
+    output = base + n_scratch
+    const_refs = iter(range(len(taps), base))
+
+    def ref(a) -> int:
+        kind, x = a
+        if kind == "r":
+            return x
+        if kind == "c":
+            return next(const_refs)
+        return output if slot_of[x] is None else base + slot_of[x]
+
+    ops = tuple(
+        (func, ref(args[0]), ref(args[1]) if len(args) > 1 else -1,
+         ref(("v", i)))
+        for i, (func, args) in enumerate(instrs)
+    )
+    return Tape(
+        accessors=tuple(accessors),
+        hulls=tuple(hulls),
+        reads=reads,
+        consts=tuple(consts),
+        n_scratch=n_scratch,
+        ops=ops,
+        result=ref(root),
+    )
+
+
+def _take(pool: dict, key, shape: tuple[int, ...]) -> np.ndarray:
+    """A float32 buffer of ``shape`` carved from the per-call pool entry
+    ``key`` (grown when a larger shape asks for it)."""
+    n = math.prod(shape)
+    flat = pool.get(key)
+    if flat is None or flat.size < n:
+        flat = pool[key] = np.empty(n, ELEMENT_DTYPE)
+    return flat[:n].reshape(shape)
+
+
+def window(
+    src: Source,
+    rect: tuple[int, int, int, int],
+    view: bool,
+    acc: Accessor,
+    width: int,
+    height: int,
+):
+    """The image rectangle ``rect`` = (x0, x1, y0, y1) of one input.
+
+    A view slices the source as is; otherwise the window is staged by one
+    gather through the accessor's total border mapping against the
+    ``width`` x ``height`` image. Either way a window that does not lie
+    inside the source buffer raises :class:`OutOfBoundsError`.
+    """
+    buf, ox, oy = src
+    x0, x1, y0, y1 = rect
+    bh, bw = tuple(buf.shape)[-2:]
+    if view:
+        r0, r1, c0, c1 = y0 - oy, y1 - oy, x0 - ox, x1 - ox
+        if r0 < 0 or c0 < 0 or r1 > bh or c1 > bw:
+            raise OutOfBoundsError(
+                f"view of {acc.image.name!r} slices rows [{r0}:{r1}) cols "
+                f"[{c0}:{c1}) of a {bh}x{bw} source"
+            )
+        return buf[..., r0:r1, c0:c1]
+    boundary = acc.boundary
+    rows = window_axis(y0, y1, height, boundary, oy)
+    cols = window_axis(x0, x1, width, boundary, ox)
+    if rows[4] < 0 or cols[4] < 0 or rows[5] >= bh or cols[5] >= bw:
+        raise OutOfBoundsError(
+            f"{boundary.value} mapping of {acc.image.name!r} reads rows "
+            f"[{rows[4]}, {rows[5]}] cols [{cols[4]}, {cols[5]}] of a "
+            f"{bh}x{bw} source"
+        )
+    return gather(buf, rows, cols, float(acc.constant))
+
+
+def run_tape(
+    tape: Tape,
+    tiles: Iterable[Tile],
+    sources: list[Source],
+    dest: Source,
+    width: int,
+    height: int,
+    pool: dict,
+) -> None:
+    """Evaluate ``tape`` over each tile into ``dest``.
+
+    ``sources`` holds one :data:`Source` per ``tape.accessors`` entry;
+    ``dest`` is a :data:`Source` too, covering every tile. Scratch comes
+    from ``pool``, a dict owned by the caller's call.
+    """
+    out, ox, oy = dest
+    lead = tuple(out.shape)[:-2]
+    for x0, x1, y0, y1, view in tiles:
+        th, tw = y1 - y0, x1 - x0
+        wins = [
+            window(src, (x0 + dx0, x1 + dx1, y0 + dy0, y1 + dy1),
+                   view, acc, width, height)
+            for src, acc, (dx0, dx1, dy0, dy1)
+            in zip(sources, tape.accessors, tape.hulls)
+        ]
+        vals = [wins[p][..., r:r + th, c:c + tw] for p, c, r in tape.reads]
+        vals.extend(tape.consts)
+        shape = (*lead, th, tw)
+        vals.extend(_take(pool, k, shape) for k in range(tape.n_scratch))
+        target = out[..., y0 - oy:y1 - oy, x0 - ox:x1 - ox]
+        vals.append(target)
+        for func, a, b, o in tape.ops:
+            if b < 0:
+                func(vals[a], vals[o])
+            else:
+                func(vals[a], vals[b], vals[o])
+        if tape.result != tape.output:
+            target[...] = vals[tape.result]
+
+
+def _as_source(image) -> np.ndarray:
+    """An ndarray input as float32, converted once per call; duck-typed
+    images (the sanitizer's canaries) pass through."""
+    if isinstance(image, np.ndarray) and image.dtype != ELEMENT_DTYPE:
+        return image.astype(ELEMENT_DTYPE)
+    return image
 
 
 def _check_inputs(
@@ -415,18 +482,17 @@ def run_kernel_vectorized(
     variant: str = "isp",
     tile_rows: Optional[int] = None,
     pad_cache: Optional[dict] = None,
-    warp_width: int = WARP_WIDTH,
+    warp_width: Optional[int] = None,
 ) -> np.ndarray:
     """Evaluate one kernel over its full iteration space.
 
-    ``variant`` is ``"naive"`` (single region, full checks), ``"isp"``
-    (nine pixel-granularity regions, Body check-free), ``"isp_warp"``
-    (nine regions with warp-aligned x cuts) or ``"prepad"`` (materialize
-    each input's border once via :func:`repro.runtime.make_border
-    .make_border`, then run the single check-free Body evaluator over the
-    whole padded image with offset coordinates). ``tile_rows`` caps the
-    height of any evaluated rectangle (memory-bounded streaming for large
-    images); ``None`` evaluates each region in one shot.
+    ``variant`` picks the schedule (:func:`schedule`): ``"naive"`` stages
+    every tile, ``"isp"`` and ``"isp_warp"`` read views for the tiles whose
+    halo lies inside the image, and ``"prepad"`` materializes each input's
+    border once via :func:`repro.runtime.make_border.make_border`, then
+    reads views of the padded buffer. ``tile_rows`` caps the tile height
+    (memory-bounded streaming for large images); ``None`` uses
+    :data:`TILE_ROWS`.
 
     Inputs may carry leading batch axes — ``(N, H, W)`` stacks evaluate
     in one call and produce an ``(N, H, W)`` output (kernel-level
@@ -434,8 +500,8 @@ def run_kernel_vectorized(
     buffers across calls on the same source arrays (see
     :func:`repro.runtime.make_border.padded_for`); callers that loop over
     taps/stages/requests on one image pay the gather exactly once.
-    ``warp_width`` sets the ``isp_warp`` x-cut granularity — the active
-    device's warp/wavefront size.
+    ``warp_width`` is accepted for callers that pass their device's warp
+    size; the host schedules ``isp_warp`` like ``isp`` and ignores it.
     """
     trace_ctx = None
     if _trace_core._current is not None:
@@ -454,16 +520,15 @@ def run_kernel_vectorized(
                 raise FaultError("runtime.vectorized.kernel", act.kind)
     h, w = desc.height, desc.width
     hx, hy = desc.extent
-    rects = _variant_rects(variant, w, h, hx, hy, warp_width)
+    tiles = schedule(variant, w, h, hx, hy, tile_rows)
     lead = _check_inputs(desc.accessors, images)
+    tape = lower(desc)
     if variant == "prepad":
-        from .make_border import padded_for
-
         # Without a caller's cache, a local one still pads each
         # (image, pattern) once per call however many accessors share it.
         cache = pad_cache if pad_cache is not None else {}
-        sources = {}
-        for acc in desc.accessors:
+        sources = []
+        for acc in tape.accessors:
             # UNDEFINED promises every tap stays in bounds, so the apron's
             # values are unobservable — CLAMP is an in-bounds-sound stand-in
             # that keeps the gather total.
@@ -472,19 +537,17 @@ def run_kernel_vectorized(
                 boundary = Boundary.CLAMP
             padded = padded_for(images, acc.image.name, hx, hy, boundary,
                                 float(acc.constant), cache=cache)
-            sources[id(acc)] = (padded, -hx, -hy)
+            sources.append((_as_source(padded), -hx, -hy))
     else:
-        sources = {id(acc): (images[acc.image.name], 0, 0)
-                   for acc in desc.accessors}
-    if tile_rows is not None:
-        rects = _split_rows(rects, tile_rows)
-    out = np.empty((*lead, h, w), dtype=np.float32)
-    _eval_rects(desc, sources, rects, out)
+        sources = [(_as_source(images[acc.image.name]), 0, 0)
+                   for acc in tape.accessors]
+    out = np.empty((*lead, h, w), dtype=ELEMENT_DTYPE)
+    run_tape(tape, tiles, sources, (out, 0, 0), w, h, {})
     if trace_ctx is not None:
         tracer, parent = trace_ctx
         tracer.record_span(
             f"kernel:{desc.name}", parent, t_start, time.perf_counter(),
-            variant=variant, tile_rows=tile_rows, regions=len(rects),
+            variant=variant, tile_rows=tile_rows, tiles=len(tiles),
         )
     return out
 
@@ -510,7 +573,6 @@ def run_pipeline_vectorized(
     variant: str = "isp",
     tile_rows: Optional[int] = None,
     pad_cache: Optional[dict] = None,
-    warp_width: int = WARP_WIDTH,
 ) -> dict[str, np.ndarray]:
     """Run all pipeline stages; returns every produced image by name.
 
@@ -526,6 +588,6 @@ def run_pipeline_vectorized(
         desc = trace_kernel(kernel)
         images[desc.output_name] = run_kernel_vectorized(
             desc, images, variant=variant, tile_rows=tile_rows,
-            pad_cache=pad_cache, warp_width=warp_width,
+            pad_cache=pad_cache,
         )
     return images

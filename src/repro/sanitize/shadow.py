@@ -15,9 +15,9 @@ missed still traps instead of silently corrupting pixels:
   kernels against *canary-padded* images: each buffer is embedded in a NaN
   ring wide enough to absorb any plausible coordinate error, so a mis-mapped
   coordinate reads NaN and poisons the output, which is then scanned.  The
-  region evaluator's own bounds check (:class:`~repro.runtime
-  .OutOfBoundsError`, raised for Body slices and mapped border taps alike)
-  fires first for any read outside the image; the NaN ring stays as an
+  host executor's own bounds check (:class:`~repro.runtime
+  .OutOfBoundsError`, raised for view and staged windows alike) fires
+  first for any read outside the image; the NaN ring stays as an
   independent backstop should that check itself be wrong. Inputs must be
   NaN-free for the scan to be meaningful: a NaN input raises
   :class:`ValueError` (a plain check, so it holds under ``python -O``).
@@ -79,9 +79,9 @@ def check_pipeline_simt(
 class _CanaryArray:
     """An image embedded in a NaN ring, indexable with original coordinates.
 
-    ``shape`` reports the unpadded extent; indexing (both the Body fast
-    path's slice pair and the border path's ``np.ix_`` pair) is translated by
-    the pad, so coordinates in ``[-pad, size + pad)`` resolve into the padded
+    ``shape`` reports the unpadded extent; indexing (a view window's slice
+    pair, a staged window's slice/index-array mix) is translated by the
+    pad, so coordinates in ``[-pad, size + pad)`` resolve into the padded
     backing array — in-bounds coordinates read real pixels, everything else
     reads NaN.
     """

@@ -6,7 +6,7 @@ descriptions of one application pipeline plus the per-kernel variant decision
 Building a plan is the expensive part of a request — tracing, geometry
 validation, and for ``isp+m`` the analytic model (which compiles *both* the
 naive and the ISP variants of every bordered kernel to get register counts,
-Eq. 10) — while executing one is a handful of NumPy region evaluations.
+Eq. 10) — while executing one is a tape pass per stage over a few tiles.
 The whole point of :mod:`repro.serve` is to pay the former once per distinct
 workload and the latter once per request.
 
@@ -224,7 +224,6 @@ class ExecutionPlan:
                 variant=self.kernel_variants[desc.output_name],
                 tile_rows=tile_rows,
                 pad_cache=pad_cache,
-                warp_width=self.device.warp_size,
             )
         return images[self.output_name]
 
@@ -239,10 +238,9 @@ class ExecutionPlan:
     ) -> np.ndarray:
         """Kernel-level batched execution: one ``(N, H, W)`` stack, one call.
 
-        Every stage evaluates the whole batch in a single NumPy expression
-        (the leading axis rides through the region evaluators), so N
-        same-signature requests pay the Python/plan overhead once instead
-        of N times. Plans and their cache digests are batch-agnostic: the
+        Every stage evaluates the whole batch in one tape pass (the leading
+        axis rides through every window and op), so N same-signature
+        requests pay the Python/plan overhead once instead of N times. Plans and their cache digests are batch-agnostic: the
         same cached plan serves N=1 and N=8 — batch size is an execution-
         time property, not part of plan identity.
         """

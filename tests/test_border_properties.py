@@ -1,8 +1,8 @@
 """Property-based tests of the four border index mappings.
 
 Two independent implementations of the same mathematical maps exist in the
-codebase — the vectorized executor's :func:`_map_axis` (NumPy, used for all
-host execution) and the compiler's :func:`emit_axis_checks` (virtual-PTX IR,
+codebase — the host's total mapping :func:`map_axis` (NumPy, used for every
+staged window and every padded buffer) and the compiler's :func:`emit_axis_checks` (virtual-PTX IR,
 used by the SIMT path) — and both must agree with the textbook definition of
 each pattern at *any* depth past the image edge. Hypothesis drives sizes
 ``>= 1`` and coordinates across ``[-4*size, 5*size)``: deep enough to cross
@@ -82,7 +82,7 @@ def axis_batch(draw):
 
 
 # --------------------------------------------------------------------------
-# Layer 1: the vectorized executor's _map_axis.
+# Layer 1: the host's total mapping, map_axis.
 # --------------------------------------------------------------------------
 
 
@@ -129,45 +129,36 @@ class TestMapAxisTotal:
         assert mapped.tolist() == [oracle(c, size) for c in coords]
 
 
-class TestMapAxisSingleSided:
-    """One side checked: sound whenever the coordinate cannot cross the
-    unchecked side — the contract ISP region geometry guarantees. MIRROR
-    additionally self-promotes to the total mapping on deep coordinates."""
+class TestWindowAxis:
+    """A staged window reads each position through the total mapping, but
+    copies its in-image run as one slice: the run must be exactly the
+    positions the mapping leaves in place, at any window depth."""
 
     @settings(deadline=None)
-    @given(axis_batch())
-    def test_low_side_only(self, case):
+    @given(axis_batch(), st.integers(-3, 3))
+    def test_run_is_the_identity_run(self, case, origin):
+        from repro.runtime.make_border import window_axis
+
         size, coords = case
-        coords = [c for c in coords if c < size]  # cannot cross the high side
-        if not coords:
-            return
+        lo, hi = min(coords), max(coords) + 1
         for boundary, oracle in [(Boundary.CLAMP, clamp_oracle),
                                  (Boundary.MIRROR, reflect_oracle),
-                                 (Boundary.REPEAT, wrap_oracle)]:
-            mapped, _ = _map(coords, size, boundary,
-                             check_low=True, check_high=False)
-            TestMapAxisTotal._check(mapped, coords, size, oracle)
-
-    @settings(deadline=None)
-    @given(axis_batch())
-    def test_high_side_only(self, case):
-        size, coords = case
-        coords = [c for c in coords if c >= 0]  # cannot cross the low side
-        if not coords:
-            return
-        for boundary, oracle in [(Boundary.CLAMP, clamp_oracle),
-                                 (Boundary.MIRROR, reflect_oracle),
-                                 (Boundary.REPEAT, wrap_oracle)]:
-            mapped, _ = _map(coords, size, boundary,
-                             check_low=False, check_high=True)
-            TestMapAxisTotal._check(mapped, coords, size, oracle)
+                                 (Boundary.REPEAT, wrap_oracle),
+                                 (Boundary.CONSTANT, clamp_oracle)]:
+            index, a, b, const, imin, imax = window_axis(
+                lo, hi, size, boundary, origin)
+            expected = [oracle(c, size) - origin for c in range(lo, hi)]
+            assert index.tolist() == expected
+            assert (imin, imax) == (min(expected), max(expected))
+            inside = [i for i, c in enumerate(range(lo, hi)) if 0 <= c < size]
+            assert list(range(a, b)) == inside
+            assert const == (boundary is Boundary.CONSTANT)
 
 
-def _map(coords, size, boundary, *, check_low=True, check_high=True):
-    from repro.runtime.vectorized import _map_axis
+def _map(coords, size, boundary):
+    from repro.runtime.make_border import map_axis
 
-    return _map_axis(np.asarray(list(coords), dtype=np.int64), size, boundary,
-                     check_low, check_high)
+    return map_axis(np.asarray(list(coords), dtype=np.int64), size, boundary)
 
 
 # --------------------------------------------------------------------------

@@ -21,7 +21,8 @@ from repro.runtime import (
     run_pipeline_fused,
     run_pipeline_vectorized,
 )
-from repro.runtime.vectorized import _eval_rects, _map_axis, _variant_rects
+from repro.runtime.make_border import map_axis, window_axis
+from repro.runtime.vectorized import TILE_COLS, TILE_ROWS, schedule, window
 from repro.sanitize.differential import make_chain_pipeline
 from tests.conftest import make_conv_kernel
 
@@ -53,36 +54,67 @@ class TestAgainstReferences:
         assert np.array_equal(a["out"], b["out"])
 
 
-def _isp_rects(width, height, hx, hy):
-    return _variant_rects("isp", width, height, hx, hy, 32)
+def _coverage(tiles, width, height):
+    covered = np.zeros((height, width), dtype=int)
+    for x0, x1, y0, y1, _ in tiles:
+        covered[y0:y1, x0:x1] += 1
+    return covered
 
 
-class TestRegionDecomposition:
-    def test_nine_regions_tile_exactly(self):
-        rects = _isp_rects(100, 80, 6, 6)
-        assert len(rects) == 9
-        covered = np.zeros((80, 100), dtype=int)
-        for x0, x1, y0, y1, _ in rects:
-            covered[y0:y1, x0:x1] += 1
-        assert np.all(covered == 1)
+class TestSchedule:
+    """The variants are tile schedules under one tile shape; they differ
+    only in which tiles read views."""
 
-    def test_body_region_is_largest_and_checkfree(self):
-        rects = _isp_rects(100, 80, 6, 6)
-        body = [r for r in rects if not r[4]]
-        assert len(body) == 1
-        areas = {(x1 - x0) * (y1 - y0) for x0, x1, y0, y1, _ in rects}
-        x0, x1, y0, y1, _ = body[0]
-        assert (x1 - x0) * (y1 - y0) == max(areas)
+    @pytest.mark.parametrize("variant", VECTORIZED_VARIANTS)
+    @pytest.mark.parametrize("size", [(1, 1), (64, 64), (1000, 300),
+                                      (2 * TILE_COLS + 3, 2 * TILE_ROWS + 1)])
+    def test_tiles_cover_image_exactly_once(self, variant, size):
+        width, height = size
+        tiles = schedule(variant, width, height, 2, 2)
+        assert np.all(_coverage(tiles, width, height) == 1)
 
-    def test_1d_extent_gives_three_regions(self):
-        rects = _isp_rects(100, 80, 6, 0)
-        assert len(rects) == 3
-        assert all("top" not in r[4] and "bottom" not in r[4] for r in rects)
+    @pytest.mark.parametrize("variant", VECTORIZED_VARIANTS)
+    def test_64_square_is_one_tile(self, variant):
+        (tile,) = schedule(variant, 64, 64, 1, 1)
+        assert tile[:4] == (0, 64, 0, 64)
 
-    def test_degenerate_uses_naive_region(self):
-        assert _isp_rects(10, 10, 6, 6) == _variant_rects(
-            "naive", 10, 10, 6, 6, 32
-        ) == [(0, 10, 0, 10, frozenset({"left", "right", "top", "bottom"}))]
+    def test_isp_inside_tiles_read_views(self):
+        width, height = 3 * TILE_COLS, 3 * TILE_ROWS
+        tiles = schedule("isp", width, height, 3, 2)
+        views = [t for t in tiles if t[4]]
+        assert views and len(views) < len(tiles)
+        for x0, x1, y0, y1, view in tiles:
+            inside = (x0 >= 3 and x1 + 3 <= width
+                      and y0 >= 2 and y1 + 2 <= height)
+            assert view == inside
+        assert schedule("isp_warp", width, height, 3, 2) == tiles
+        # A view window shares the source's memory; a staged one does not.
+        desc = trace_kernel(make_conv_kernel(
+            width, height, Boundary.MIRROR, np.ones((5, 7), np.float32)))
+        src = np.zeros((height, width), np.float32)
+        acc = desc.accessors[0]
+        x0, x1, y0, y1, _ = views[0]
+        rect = (x0 - 3, x1 + 3, y0 - 2, y1 + 2)
+        win = window((src, 0, 0), rect, True, acc, width, height)
+        assert np.shares_memory(win, src)
+        staged = window((src, 0, 0), rect, False, acc, width, height)
+        assert not np.shares_memory(staged, src)
+        assert np.array_equal(win, staged)
+
+    def test_naive_stages_and_prepad_views_every_tile(self):
+        assert not any(t[4] for t in schedule("naive", 1000, 1000, 1, 1))
+        assert all(t[4] for t in schedule("prepad", 1000, 1000, 1, 1))
+
+    def test_degenerate_stages_every_tile(self):
+        assert schedule("isp", 10, 10, 6, 6) == schedule(
+            "naive", 10, 10, 6, 6) == ((0, 10, 0, 10, False),)
+
+    def test_tile_rows_bands_the_schedule(self):
+        tiles = schedule("isp", 64, 64, 1, 1, tile_rows=7)
+        assert [t[2:4] for t in tiles][:2] == [(0, 7), (7, 14)]
+        assert np.all(_coverage(tiles, 64, 64) == 1)
+        with pytest.raises(ValueError, match="tile_rows"):
+            schedule("isp", 64, 64, 1, 1, tile_rows=0)
 
     def test_degenerate_kernel_falls_back(self):
         src = np.random.default_rng(3).random((10, 10)).astype(np.float32)
@@ -100,7 +132,7 @@ class TestRegionDecomposition:
 
 
 class TestAxisMapping:
-    """_map_axis must agree with the scalar reference model."""
+    """map_axis must agree with the scalar reference model."""
 
     @pytest.mark.parametrize("boundary", PATTERNS)
     def test_both_sides(self, boundary):
@@ -108,7 +140,7 @@ class TestAxisMapping:
 
         size = 16
         coords = np.arange(-size, 2 * size)  # within mirror's contract
-        mapped, valid = _map_axis(coords, size, boundary, True, True)
+        mapped, valid = map_axis(coords, size, boundary)
         for i, c in enumerate(coords):
             ref = reference_index(int(c), size, boundary)
             if ref is None:
@@ -116,17 +148,22 @@ class TestAxisMapping:
             else:
                 assert mapped[i] == ref
 
-    def test_no_checks_identity(self):
-        coords = np.arange(-5, 25)
-        mapped, valid = _map_axis(coords, 16, Boundary.CLAMP, False, False)
-        assert mapped is coords and valid is None
+    @pytest.mark.parametrize("boundary", PATTERNS + [Boundary.UNDEFINED])
+    def test_in_image_coordinates_map_to_themselves(self, boundary):
+        # What lets a view stand in for a gather inside the image.
+        coords = np.arange(16)
+        mapped, valid = map_axis(coords, 16, boundary)
+        assert np.array_equal(mapped, coords)
+        assert valid is None or valid.all()
 
-    def test_one_sided_clamp(self):
-        coords = np.arange(-5, 25)
-        lo, _ = _map_axis(coords, 16, Boundary.CLAMP, True, False)
-        assert lo.min() == 0 and lo.max() == 24
-        hi, _ = _map_axis(coords, 16, Boundary.CLAMP, False, True)
-        assert hi.min() == -5 and hi.max() == 15
+    def test_window_axis_run_and_bounds(self):
+        index, a, b, const, lo, hi = window_axis(-5, 25, 16, Boundary.CLAMP, 1)
+        assert (a, b, const) == (5, 21, False)
+        assert np.array_equal(index[a:b], np.arange(16) - 1)
+        assert (lo, hi) == (-1, 14)
+        assert not index.flags.writeable
+        _, a, b, const, _, _ = window_axis(-2, 3, 2, Boundary.CONSTANT, 0)
+        assert (a, b, const) == (2, 4, True)
 
 
 class TestInputValidation:
@@ -191,6 +228,36 @@ def _expect_nan_input_rejected():
         check_pipeline_vectorized(pipe, inputs={"inp": img})
 
 
+def _expect_window_out_of_bounds(view=None):
+    """A window one row past the top of a source that starts at image row
+    1 raises, whether it is sliced as a view or gathered through the
+    mapping (``None``: both)."""
+    desc = trace_kernel(make_conv_kernel(
+        16, 16, Boundary.CLAMP, np.ones((3, 1), np.float32)))
+    src = np.zeros((16, 16), np.float32)
+    for v in ([True, False] if view is None else [view]):
+        with pytest.raises(OutOfBoundsError, match=r"rows \[-1"):
+            window((src[1:], 0, 1), (0, 16, 0, 16), v, desc.accessors[0],
+                   16, 16)
+
+
+def _run_under_O(check: str) -> None:
+    """Run one of this module's ``_expect_*`` checks in a ``python -O``
+    child, where every assert is stripped."""
+    root = Path(__file__).resolve().parents[1]
+    path = [str(root / "src"), os.environ.get("PYTHONPATH", "")]
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c",
+         "import sys\n"
+         "if not sys.flags.optimize: sys.exit('asserts not stripped')\n"
+         f"from tests.test_runtime_vectorized import {check} as check; "
+         "check()"],
+        cwd=root, env=dict(os.environ, PYTHONPATH=os.pathsep.join(path)),
+        capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
 class TestBoundsCheck:
     """Reads outside a source buffer raise, also under ``python -O``."""
 
@@ -198,43 +265,71 @@ class TestBoundsCheck:
         _expect_late_producer_out_of_bounds()
 
     def test_fused_buffer_short_of_mapped_read_under_O(self):
-        root = Path(__file__).resolve().parents[1]
-        path = [str(root / "src"), os.environ.get("PYTHONPATH", "")]
-        proc = subprocess.run(
-            [sys.executable, "-O", "-c",
-             "import sys\n"
-             "if not sys.flags.optimize: sys.exit('asserts not stripped')\n"
-             "from tests.test_runtime_vectorized import "
-             "_expect_late_producer_out_of_bounds as check; check()"],
-            cwd=root, env=dict(os.environ, PYTHONPATH=os.pathsep.join(path)),
-            capture_output=True, text=True, timeout=300,
-        )
-        assert proc.returncode == 0, proc.stderr
+        _run_under_O("_expect_late_producer_out_of_bounds")
 
     def test_nan_input_rejected(self):
         _expect_nan_input_rejected()
 
     def test_nan_input_rejected_under_O(self):
-        root = Path(__file__).resolve().parents[1]
-        path = [str(root / "src"), os.environ.get("PYTHONPATH", "")]
-        proc = subprocess.run(
-            [sys.executable, "-O", "-c",
-             "import sys\n"
-             "if not sys.flags.optimize: sys.exit('asserts not stripped')\n"
-             "from tests.test_runtime_vectorized import "
-             "_expect_nan_input_rejected as check; check()"],
-            cwd=root, env=dict(os.environ, PYTHONPATH=os.pathsep.join(path)),
-            capture_output=True, text=True, timeout=300,
-        )
-        assert proc.returncode == 0, proc.stderr
+        _run_under_O("_expect_nan_input_rejected")
 
-    @pytest.mark.parametrize("checks", [frozenset(), frozenset({"top"})],
-                             ids=["body_slice", "mapped_gather"])
-    def test_source_one_row_short(self, checks):
-        desc = trace_kernel(make_conv_kernel(
-            16, 16, Boundary.CLAMP, np.ones((3, 3), np.float32)))
-        src = np.zeros((16, 16), np.float32)
-        sources = {id(desc.accessors[0]): (src[1:], 0, 1)}
-        out = np.empty((14, 16), np.float32)
-        with pytest.raises(OutOfBoundsError):
-            _eval_rects(desc, sources, [(0, 16, 1, 15, checks)], out, 0, 1)
+    @pytest.mark.parametrize("view", [True, False], ids=["view", "gather"])
+    def test_source_one_row_short(self, view):
+        _expect_window_out_of_bounds(view)
+
+    def test_source_one_row_short_under_O(self):
+        _run_under_O("_expect_window_out_of_bounds")
+
+
+class TestSharedPlans:
+    """Cached plans are shared across worker threads: tape scratch must be
+    per call, never per plan or per tape."""
+
+    def test_threads_running_one_plan_each_match_single_threaded(self):
+        import threading
+        import time
+
+        from repro.serve.plan import build_plan
+
+        plans = [build_plan(app, "mirror", 64, 64, variant=variant)
+                 for app, variant in [("gaussian", "naive"), ("laplace", "isp"),
+                                      ("sobel", "isp_warp"),
+                                      ("night", "prepad"), ("night", "fused")]]
+        rng = np.random.default_rng(5)
+        jobs = []
+        for plan in plans:
+            for shape in [(64, 64), (3, 64, 64)]:
+                for _ in range(2):
+                    x = rng.random(shape, dtype=np.float32)
+                    run = plan.execute if len(shape) == 2 else plan.execute_batch
+                    jobs.append((run, x, run(x)))
+        n_threads = 2 * (os.cpu_count() or 1) + 1
+        deadline = time.monotonic() + 20.0
+        mismatches: list[str] = []
+        errors: list[BaseException] = []
+
+        def worker(k):
+            try:
+                for i in range(3 * len(jobs)):
+                    run, x, expected = jobs[(k + i) % len(jobs)]
+                    if not np.array_equal(run(x), expected):
+                        mismatches.append(f"thread {k} job {(k + i) % len(jobs)}")
+                    if time.monotonic() > deadline:
+                        return
+            except BaseException as exc:  # noqa: BLE001 — reported below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=worker, args=(k,))
+                       for k in range(n_threads)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert not errors, errors
+        assert not mismatches, mismatches[:5]
