@@ -100,7 +100,7 @@ def cmd_run(args) -> int:
     from repro.filters import PIPELINES, REFERENCES
     from repro.gpu import get_device
     from repro.runtime import run_pipeline_simt
-    from repro.compiler import Variant
+    from repro.compiler import CompileError, Variant
 
     if args.size > 128:
         print(f"note: functional simulation of {args.size}^2 is slow; "
@@ -109,10 +109,15 @@ def cmd_run(args) -> int:
     src = rng.random((args.size, args.size)).astype(np.float32)
     pipe = PIPELINES[args.app](args.size, args.size, _boundary(args.pattern),
                                args.constant)
-    result = run_pipeline_simt(
-        pipe, variant=Variant(args.variant), block=_parse_block(args.block),
-        device=get_device(args.device), inputs={"inp": src},
-    )
+    try:
+        result = run_pipeline_simt(
+            pipe, variant=Variant(args.variant),
+            block=_parse_block(args.block),
+            device=get_device(args.device), inputs={"inp": src},
+        )
+    except CompileError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 1
     ref = REFERENCES[args.app](src, _boundary(args.pattern), args.constant)
     err = float(np.abs(result.output - ref).max())
     total_warp = sum(p.warp_instructions for p in result.profilers)

@@ -92,32 +92,31 @@ def compile_kernel(
 
     effective = variant
     geometry: Optional[RegionGeometry] = None
-    if variant in (Variant.ISP, Variant.ISP_WARP):
-        if not desc.needs_border_handling:
-            # Point operators have nothing to partition (paper: border
-            # handling concerns local operators only).
+    if variant in (Variant.ISP, Variant.ISP_WARP, Variant.SHARED,
+                   Variant.SHARED_ISP) and not desc.needs_border_handling:
+        # Point operators have nothing to partition or stage (paper: border
+        # handling concerns local operators only).
+        effective = Variant.NAIVE
+    elif variant in (Variant.ISP, Variant.ISP_WARP):
+        hx, hy = desc.extent
+        geometry = RegionGeometry.compute(desc.width, desc.height, hx, hy, block)
+        if geometry.degenerate:
+            if not fallback_to_naive:
+                raise CompileError(
+                    f"{desc.name}: degenerate ISP geometry for "
+                    f"{desc.width}x{desc.height} with block {block}"
+                )
             effective = Variant.NAIVE
-        else:
-            hx, hy = desc.extent
-            geometry = RegionGeometry.compute(desc.width, desc.height, hx, hy, block)
-            if geometry.degenerate:
-                if not fallback_to_naive:
-                    raise CompileError(
-                        f"{desc.name}: degenerate ISP geometry for "
-                        f"{desc.width}x{desc.height} with block {block}"
-                    )
-                effective = Variant.NAIVE
-                geometry = None
+            geometry = None
 
     if effective is Variant.NAIVE:
         func = generate_naive(desc, block, sign_filter=sign_filter)
     elif effective is Variant.TEXTURE:
         func = generate_texture(desc, block)
     elif effective in (Variant.SHARED, Variant.SHARED_ISP):
-        func = generate_shared(
-            desc, block, isp_staging=effective is Variant.SHARED_ISP
-        )
-        geometry = func.metadata.get("geometry")
+        func = generate_shared(desc, block, variant=effective,
+                               warp_size=warp_size)
+        geometry = func.metadata["geometry"]
     else:
         func = generate_isp(
             desc, block,

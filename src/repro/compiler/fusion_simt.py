@@ -1,13 +1,24 @@
-"""Fused SIMT megakernel — per-block shared-memory halo staging.
+"""The shared-memory staging generator: one kernel per block-tiled plan.
 
 Lowers a :class:`repro.compiler.fusion.FusedPlan` to a single kernel in
 which every block produces one ``tx x ty`` output tile entirely out of
-on-chip scratch:
+on-chip scratch. It serves all three staging shapes; ``variant`` names
+the one to emit:
+
+* ``FUSED`` — a multi-stage pipeline as one megakernel;
+* ``SHARED_ISP`` — a one-stage plan: Hipacc's tile staging, with the
+  staging loop specialized per ISP region (Body blocks stage check-free);
+* ``SHARED`` — the same one-stage plan as a single clone that carries
+  every check and has no region switch.
+
+:func:`repro.compiler.driver.compile_kernel` builds the one-stage plans
+(:mod:`repro.compiler.shared`); :func:`compile_fused_simt` compiles the
+multi-stage ones. Each region clone runs:
 
 1. **Stage** each external input's tile + cumulative-halo hull into shared
-   memory with one cooperative strided loop per buffer (the
-   :mod:`repro.compiler.shared` staging shape), applying only the block's
-   region checks — the tile-granular ISP split of the staging phase.
+   memory with one cooperative strided loop per buffer, applying only the
+   block's region checks — the tile-granular ISP split of the staging
+   phase. Border handling thus runs once per staged pixel, not per tap.
 2. **Compute** each live intermediate stage slot-by-slot into its own
    shared window. In-range slots are exact by induction; halo slots are
    then filled by a checked smem->smem copy that applies the consumer's
@@ -29,15 +40,17 @@ Shared windows are row-padded by one element whenever the row length is a
 multiple of the device's warp width — the classic LDS bank-conflict dodge —
 which is why the generated IR differs between warp32 and wave64 parts.
 
-The generator refuses (``CompileError`` — callers fall back to per-stage
-NAIVE) exactly where the host fused path degrades: non-exact grid tiling
-(``bar.sync`` forbids early-exit guards), degenerate region geometry for
-the *maximum* cumulative halo (a strict superset of
+The generator refuses (``CompileError`` — fused callers fall back to
+per-stage NAIVE) exactly where the host fused path degrades: non-exact
+grid tiling (``bar.sync`` forbids early-exit guards), degenerate region
+geometry for the *maximum* cumulative halo (a strict superset of
 :func:`repro.runtime.vectorized.degenerate_geometry` — covers 1x1 images
-and over-wide windows), inconsistent border conditions on one staged
-buffer, a REPEAT consumer whose producer does not itself read everything
-with REPEAT (wraparound does not commute through other mappings), and a
-footprint beyond ``device.shared_mem_per_sm``.
+and over-wide windows; ``SHARED`` has no regions and is exempt),
+inconsistent border conditions on one staged buffer, and a REPEAT
+consumer whose producer does not itself read everything with REPEAT
+(wraparound does not commute through other mappings).
+:func:`compile_fused_simt` adds two more: a single-stage plan (nothing to
+fuse) and a footprint beyond ``device.shared_mem_per_sm``.
 """
 
 from __future__ import annotations
@@ -108,7 +121,7 @@ def _bank_padded_stride(row_elems: int, warp_size: int) -> int:
     With ``warp_size`` banks of one word, a row length that is a multiple
     of the bank count puts every column of a warp-strided access in the
     same bank; the +1 pad staggers the rows (see the CUDA shared-memory
-    guide). This is the one place the fused IR depends on warp width.
+    guide). This is the one place the staged IR depends on warp width.
     """
     return row_elems + 1 if row_elems % warp_size == 0 else row_elems
 
@@ -296,20 +309,18 @@ def _repeat_closure_check(plan: FusedPlan, live: list[KernelDescription],
 
 
 def generate_fused_simt(
-    plan: FusedPlan, block: tuple[int, int], *, warp_size: int = 32
+    plan: FusedPlan, block: tuple[int, int], *, warp_size: int = 32,
+    variant: Variant = Variant.FUSED,
 ) -> KernelFunction:
-    """Lower a fused plan to the per-block halo-staging megakernel."""
+    """Lower a plan to the per-block halo-staging kernel of ``variant``:
+    region-switched clones, or for ``SHARED`` one fully checked clone."""
     tx, ty = block
     width, height = plan.width, plan.height
     if width % tx or height % ty:
         raise CompileError(
-            f"{plan.name}: fused staging requires the grid to tile the "
-            f"image exactly ({width}x{height} vs block {tx}x{ty}) — "
+            f"{plan.name}: {variant.value} staging requires the grid to tile "
+            f"the image exactly ({width}x{height} vs block {tx}x{ty}) — "
             "bar.sync forbids early-exit guards"
-        )
-    if len(plan.descs) < 2:
-        raise CompileError(
-            f"{plan.name}: single-stage plans have nothing to fuse"
         )
 
     layout = plan_fused_smem(plan, block, warp_size)
@@ -319,12 +330,15 @@ def generate_fused_simt(
 
     hx_max = max((buf.halo[0] for buf in layout.buffers.values()), default=0)
     hy_max = max((buf.halo[1] for buf in layout.buffers.values()), default=0)
-    geom = RegionGeometry.compute(width, height, hx_max, hy_max, block)
-    if geom.degenerate:
-        raise CompileError(
-            f"{plan.name}: degenerate fused geometry for {width}x{height} "
-            f"with halo ({hx_max}, {hy_max}) and block {block}"
-        )
+    geom = None
+    if variant is not Variant.SHARED:
+        geom = RegionGeometry.compute(width, height, hx_max, hy_max, block)
+        if geom.degenerate:
+            raise CompileError(
+                f"{plan.name}: degenerate {variant.value} geometry for "
+                f"{width}x{height} with halo ({hx_max}, {hy_max}) and "
+                f"block {block}"
+            )
 
     # -------------------------------------------------- params & prologue
     params_list: list[Param] = []
@@ -340,7 +354,7 @@ def generate_fused_simt(
     params_list.append(Param("smem_base", DataType.U32, is_pointer=True,
                              elem_dtype=DataType.F32))
 
-    b = IRBuilder(f"{plan.name}_fused", params_list)
+    b = IRBuilder(f"{plan.name}_{variant.value}", params_list)
     b.new_block("entry")
     with b.role("addr"):
         bases = {n: b.ld_param(f"{n}_ptr") for n in layout.externals}
@@ -520,8 +534,7 @@ def generate_fused_simt(
 
         _for_each_slot(b, buf.window, block, tid_x, tid_y, fill_slot)
 
-    def emit_clone(region: Region, tag: str) -> None:
-        sides = frozenset(REGION_CHECKS[region] & axis_checks)
+    def emit_clone(sides: frozenset[str], tag: str) -> None:
         consts: dict = {}
         with b.region(tag):
             for name in layout.externals:
@@ -557,22 +570,27 @@ def generate_fused_simt(
             lowering.store_output(value)
             b.br(exit_label)
 
-    feasible = geom.feasible_regions()
-    emit_set = set(feasible) | {Region.BODY}
-    emit_regions = [r for r in SWITCH_ORDER if r in emit_set]
-    labels = {r: f"region_{r.value.lower()}" for r in emit_regions}
-    with b.role("switch"):
-        _emit_switch_chain(b, geom, labels, set(feasible), ctaid_x, ctaid_y,
-                           None, block, warp_size=warp_size)
-    for region in emit_regions:
-        b.new_block(labels[region])
-        emit_clone(region, region.value)
+    if geom is None:
+        # SHARED: every block takes the one clone that checks every side.
+        emit_clone(frozenset(axis_checks), "naive")
+    else:
+        feasible = geom.feasible_regions()
+        emit_set = set(feasible) | {Region.BODY}
+        emit_regions = [r for r in SWITCH_ORDER if r in emit_set]
+        labels = {r: f"region_{r.value.lower()}" for r in emit_regions}
+        with b.role("switch"):
+            _emit_switch_chain(b, geom, labels, set(feasible), ctaid_x,
+                               ctaid_y, None, block, warp_size=warp_size)
+        for region in emit_regions:
+            b.new_block(labels[region])
+            emit_clone(frozenset(REGION_CHECKS[region] & axis_checks),
+                       region.value)
 
     b.new_block(exit_label)
     b.exit()
     func = b.finish()
     func.metadata.update(
-        variant=Variant.FUSED,
+        variant=variant,
         block=block,
         grid=grid_for(width, height, block),
         geometry=geom,
@@ -637,8 +655,15 @@ def compile_fused_simt(
     Raises :class:`CompileError` where the shape is unsound (degenerate
     geometry, non-exact tiling, inconsistent/uncommuting border
     conditions) or does not fit (scratchpad over the device limit) —
-    callers fall back to the per-stage staged path.
+    callers fall back to the per-stage staged path. A single-stage plan
+    is refused too: it has nothing to fuse, and staged NAIVE compiles it
+    at a fraction of the megakernel's cost (its staging shape is
+    ``Variant.SHARED_ISP``, reached through ``compile_kernel``).
     """
+    if len(plan.descs) < 2:
+        raise CompileError(
+            f"{plan.name}: single-stage plans have nothing to fuse"
+        )
     warp_size = device.warp_size if device is not None else 32
     func = generate_fused_simt(plan, block, warp_size=warp_size)
     shared_bytes = func.metadata["shared_bytes"]

@@ -13,271 +13,49 @@ composes with ISP:
   region's staging is check-free. The compute phase is identical everywhere
   (it reads shared memory, which is always in bounds).
 
-Because ``bar.sync`` must execute in uniform control flow, staging variants
-require the grid to tile the image exactly (no early-exit bounds guard) and
-are dispatched at block granularity only.
+A kernel staged this way is a one-stage fused plan whose tile is the block,
+so both shapes are lowered by :func:`repro.compiler.fusion_simt
+.generate_fused_simt` — the one staging generator. Because ``bar.sync``
+must execute in uniform control flow, staging requires the grid to tile the
+image exactly (no early-exit bounds guard) and dispatches at block
+granularity only.
 """
 
 from __future__ import annotations
 
-import math
-
-from ..ir.builder import IRBuilder
-from ..ir.function import KernelFunction, Param
-from ..ir.instructions import CmpOp, Register, SpecialReg
-from ..ir.types import DataType
-from .border import combine_valid, emit_axis_checks
+from ..ir.function import KernelFunction
 from .frontend import KernelDescription
-from .isp import (
-    CompileError,
-    Variant,
-    _declare_params,
-    _emit_switch_chain,
-    _load_params,
-)
-from .lowering import KernelParams, RegionLowering, emit_coordinates, grid_for
-from .regions import REGION_CHECKS, Region, RegionGeometry
+from .fusion import FusedPlan, fuse_descs
+from .fusion_simt import fused_smem_bytes, generate_fused_simt
+from .isp import CompileError, Variant
 
 
-def shared_tile_bytes(desc: KernelDescription, block: tuple[int, int]) -> int:
-    """Per-block shared-memory footprint of the staged tile.
-
-    Derives the element size from :data:`repro.runtime.make_border
-    .ELEMENT_BYTES` — the single source of truth for buffer pricing — so the
-    footprint, the occupancy charge and the static prover's ``smem_base``
-    extent always agree (they all read this value via ``metadata``).
-    """
-    from ..runtime.make_border import ELEMENT_BYTES
-
-    hx, hy = desc.extent
-    tx, ty = block
-    return (tx + 2 * hx) * (ty + 2 * hy) * ELEMENT_BYTES
-
-
-def _staged_accessor(desc: KernelDescription):
-    """The single windowed accessor staging supports (validated)."""
+def _staging_plan(desc: KernelDescription) -> FusedPlan:
+    """The one-stage plan of ``desc``; it must have one windowed input."""
     windowed = [a for a in desc.accessors if a.boundary.needs_checks]
     if len(windowed) != 1:
         raise CompileError(
             f"{desc.name}: shared staging supports exactly one windowed "
             f"input, found {len(windowed)}"
         )
-    return windowed[0]
+    return fuse_descs([desc], name=desc.name)
 
 
-class SharedLowering(RegionLowering):
-    """Compute-phase lowering: the staged accessor reads the shared tile."""
-
-    def __init__(self, *args, staged_accessor=None, smem_base=None,
-                 tile_w=None, tid_x=None, tid_y=None, extent=None, **kwargs):
-        super().__init__(*args, **kwargs)
-        self.staged_accessor = staged_accessor
-        self.smem_base = smem_base
-        self.tile_w = tile_w
-        self.tid_x = tid_x
-        self.tid_y = tid_y
-        self.hx, self.hy = extent
-
-    def _lower_access(self, access):
-        if access.accessor is not self.staged_accessor:
-            return super()._lower_access(access)
-        key = (id(access.accessor), access.dx, access.dy)
-        memo = self._access_memo.get(key)
-        if memo is not None:
-            return memo
-        b = self.b
-        with b.role("addr"):
-            sx = b.add(self.tid_x, self.hx + access.dx)
-            sy = b.add(self.tid_y, self.hy + access.dy)
-            idx = b.mad(sy, b.imm(self.tile_w, DataType.S32), sx)
-            byte = b.cvt(b.shl(idx, 2), DataType.U32)
-            addr = b.add(self.smem_base, byte, DataType.U32)
-        with b.role("kernel"):
-            value = b.lds(addr, DataType.F32)
-        self._access_memo[key] = value
-        return value
-
-
-def _emit_staging(
-    b: IRBuilder,
-    desc: KernelDescription,
-    params: KernelParams,
-    acc,
-    smem_base: Register,
-    block: tuple[int, int],
-    checks: frozenset[str],
-    tid_x: Register,
-    tid_y: Register,
-    ctaid_x: Register,
-    ctaid_y: Register,
-    region_tag: str,
-) -> None:
-    """Cooperative tile load: each thread stages ceil(tile/threads) pixels
-    in a row/column-strided pattern (no divide/modulo), applying only the
-    region's border checks."""
-    hx, hy = desc.extent
-    tx, ty = block
-    tile_w, tile_h = tx + 2 * hx, ty + 2 * hy
-    img = acc.image
-
-    with b.region(region_tag), b.role("addr"):
-        # Block origin including the halo: ox = ctaid.x*tx - hx.
-        ox = b.sub(b.mul(ctaid_x, tx), hx)
-        oy = b.sub(b.mul(ctaid_y, ty), hy)
-
-    consts: dict = {}
-    for ry in range(math.ceil(tile_h / ty)):
-        for rx in range(math.ceil(tile_w / tx)):
-            with b.region(region_tag):
-                with b.role("addr"):
-                    sx = b.add(tid_x, rx * tx) if rx else tid_x
-                    sy = b.add(tid_y, ry * ty) if ry else tid_y
-                # Guard the ragged tile edge (static: only needed on the
-                # last strip in each dimension).
-                need_guard_x = (rx + 1) * tx > tile_w
-                need_guard_y = (ry + 1) * ty > tile_h
-                guard_done = None
-                if need_guard_x or need_guard_y:
-                    with b.role("addr"):
-                        preds = []
-                        if need_guard_x:
-                            preds.append(b.setp(CmpOp.GE, sx, tile_w))
-                        if need_guard_y:
-                            preds.append(b.setp(CmpOp.GE, sy, tile_h))
-                        p = preds[0]
-                        if len(preds) == 2:
-                            p = b.or_(preds[0], preds[1], DataType.PRED)
-                        guard_done = b.fresh_label("stage_skip")
-                        body_lbl = b.fresh_label("stage_body")
-                        b.cbr(p, guard_done, body_lbl)
-                        b.new_block(body_lbl)
-                with b.role("addr"):
-                    gx = b.add(ox, sx)
-                    gy = b.add(oy, sy)
-                bx = emit_axis_checks(
-                    b, gx, params.widths[img.name], acc.boundary,
-                    check_low="left" in checks, check_high="right" in checks,
-                    consts=consts,
-                )
-                by = emit_axis_checks(
-                    b, gy, params.heights[img.name], acc.boundary,
-                    check_low="top" in checks, check_high="bottom" in checks,
-                    consts=consts,
-                )
-                valid = combine_valid(b, bx.valid, by.valid)
-                with b.role("addr"):
-                    gidx = b.mad(by.coord, params.widths[img.name], bx.coord)
-                    gaddr = b.add(
-                        params.bases[img.name],
-                        b.cvt(b.shl(gidx, 2), DataType.U32),
-                        DataType.U32,
-                    )
-                with b.role("kernel"):
-                    val = b.ld(gaddr, DataType.F32)
-                    if valid is not None:
-                        val = b.selp(valid, val,
-                                     b.imm(acc.constant, DataType.F32))
-                with b.role("addr"):
-                    sidx = b.mad(sy, b.imm(tile_w, DataType.S32), sx)
-                    saddr = b.add(
-                        smem_base, b.cvt(b.shl(sidx, 2), DataType.U32),
-                        DataType.U32,
-                    )
-                with b.role("kernel"):
-                    b.sts(saddr, val, DataType.F32)
-                if guard_done is not None:
-                    b.br(guard_done)
-                    b.new_block(guard_done)
+def shared_tile_bytes(desc: KernelDescription, block: tuple[int, int],
+                      warp_size: int = 32) -> int:
+    """Per-block shared-memory footprint of the staged tile: the staging
+    layout's bank-padded bytes, the number the kernel metadata, the
+    occupancy charge and the static prover's ``smem_base`` extent carry."""
+    return fused_smem_bytes(_staging_plan(desc), block, warp_size)
 
 
 def generate_shared(
     desc: KernelDescription,
     block: tuple[int, int],
     *,
-    isp_staging: bool = False,
+    variant: Variant = Variant.SHARED,
+    warp_size: int = 32,
 ) -> KernelFunction:
-    """Tile-staging kernel, optionally with ISP-specialized staging."""
-    hx, hy = desc.extent
-    tx, ty = block
-    if desc.width % tx or desc.height % ty:
-        raise CompileError(
-            f"{desc.name}: shared staging requires the grid to tile the "
-            f"image exactly ({desc.width}x{desc.height} vs block {tx}x{ty}) "
-            "— bar.sync forbids early-exit guards"
-        )
-    if not desc.needs_border_handling:
-        raise CompileError(f"{desc.name}: point operators gain nothing from staging")
-    acc = _staged_accessor(desc)
-
-    geom = RegionGeometry.compute(desc.width, desc.height, hx, hy, block)
-    if isp_staging and geom.degenerate:
-        raise CompileError(f"{desc.name}: degenerate geometry for SHARED_ISP")
-
-    suffix = "shared_isp" if isp_staging else "shared"
-    params_list = _declare_params(desc)
-    params_list.append(Param("smem_base", DataType.U32, is_pointer=True,
-                             elem_dtype=DataType.F32))
-    b = IRBuilder(f"{desc.name}_{suffix}", params_list)
-    b.new_block("entry")
-    params = _load_params(b, desc)
-    with b.role("addr"):
-        smem_base = b.ld_param("smem_base")
-    x, y = emit_coordinates(b)
-    exit_label = "kernel_exit"
-
-    with b.role("addr"):
-        tid_x = b.special(SpecialReg.TID_X)
-        tid_y = b.special(SpecialReg.TID_Y)
-        ctaid_x = b.special(SpecialReg.CTAID_X)
-        ctaid_y = b.special(SpecialReg.CTAID_Y)
-
-    all_checks = set()
-    if hx > 0:
-        all_checks |= {"left", "right"}
-    if hy > 0:
-        all_checks |= {"top", "bottom"}
-
-    def emit_stage_and_compute(region: Region, checks: frozenset[str], tag: str):
-        _emit_staging(b, desc, params, acc, smem_base, block, checks,
-                      tid_x, tid_y, ctaid_x, ctaid_y, tag)
-        with b.region(tag), b.role("kernel"):
-            b.bar()
-        with b.region(tag):
-            lowering = SharedLowering(
-                b, desc, params, x, y, frozenset(),
-                staged_accessor=acc, smem_base=smem_base,
-                tile_w=tx + 2 * hx, tid_x=tid_x, tid_y=tid_y,
-                extent=(hx, hy),
-            )
-            value = lowering.lower(desc.expr)
-            lowering.store_output(value)
-            b.br(exit_label)
-
-    if not isp_staging:
-        emit_stage_and_compute(Region.BODY, frozenset(all_checks), "naive")
-    else:
-        feasible = geom.feasible_regions()
-        emit_set = set(feasible) | {Region.BODY}
-        from .regions import SWITCH_ORDER
-
-        emit_regions = [r for r in SWITCH_ORDER if r in emit_set]
-        labels = {r: f"region_{r.value.lower()}" for r in emit_regions}
-        with b.role("switch"):
-            _emit_switch_chain(b, geom, labels, set(feasible), ctaid_x,
-                               ctaid_y, None, block)
-        for region in emit_regions:
-            b.new_block(labels[region])
-            sides = frozenset(set(REGION_CHECKS[region]) & all_checks)
-            emit_stage_and_compute(region, sides, region.value)
-
-    b.new_block(exit_label)
-    b.exit()
-    func = b.finish()
-    func.metadata.update(
-        variant=Variant.SHARED_ISP if isp_staging else Variant.SHARED,
-        block=block,
-        grid=grid_for(desc.width, desc.height, block),
-        geometry=geom if isp_staging else None,
-        shared_bytes=shared_tile_bytes(desc, block),
-    )
-    return func
+    """Tile-staging kernel of ``variant`` (``SHARED`` or ``SHARED_ISP``)."""
+    return generate_fused_simt(_staging_plan(desc), block,
+                               warp_size=warp_size, variant=variant)

@@ -69,6 +69,20 @@ class TestCli:
         assert rc == 1
         assert "verification FAILED" in capsys.readouterr().err
 
+    def test_run_staging_variant_with_point_stage(self, capsys):
+        rc = main(["run", "--app", "sobel", "--pattern", "repeat",
+                   "--variant", "shared", "--size", "32", "--block", "16x4"])
+        assert rc == 0
+        assert "max|err| vs reference = 0.00e+00" in capsys.readouterr().out
+
+    def test_run_compile_error_is_one_line(self, capsys):
+        rc = main(["run", "--app", "gaussian", "--variant", "shared",
+                   "--size", "50", "--block", "16x4"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "tile the image exactly" in err
+        assert err.count("\n") == 1
+
     def test_measure_size_list(self, capsys):
         assert main(["measure", "--app", "gaussian", "--pattern", "repeat",
                      "--size", "128,256"]) == 0

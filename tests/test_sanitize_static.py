@@ -11,7 +11,9 @@ import numpy as np
 import pytest
 
 from tests.conftest import ALL_BOUNDARIES, make_conv_kernel
-from repro.compiler import Variant, trace_kernel
+from repro.compiler import CompileError, Variant, compile_kernel, trace_kernel
+from repro.filters import PIPELINES
+from repro.gpu import GTX680, VEGA64
 from repro.gpu.memory import GlobalMemory, MemoryError_
 from repro.ir import DataType, IRBuilder, Param, SpecialReg, verify
 from repro.ir.instructions import CmpOp
@@ -185,6 +187,34 @@ class TestConvCorpus:
         isp = sanitize_kernel(trace_kernel(kernel), variant=Variant.ISP)
         assert naive.contexts == 1
         assert isp.contexts > 1  # one per non-empty column x row class
+
+    @pytest.mark.parametrize("device", [GTX680, VEGA64], ids=lambda d: d.name)
+    @pytest.mark.parametrize("boundary", ALL_BOUNDARIES)
+    @pytest.mark.parametrize("variant", [Variant.SHARED, Variant.SHARED_ISP])
+    def test_staging_variants_proved(self, variant, boundary, device, rng):
+        """Staged global loads, smem stores and on-chip taps all proved,
+        against the bank-padded ``smem_base`` extent of either warp width."""
+        mask = rng.random((5, 5)).astype(np.float32)
+        kernel = make_conv_kernel(64, 64, boundary, mask, constant=2.0)
+        ck = compile_kernel(trace_kernel(kernel), variant=variant,
+                            block=(32, 4), device=device)
+        assert ck.effective_variant is variant
+        report = sanitize_compiled(ck)
+        assert report.ok, report.findings
+        assert report.loads_proved > 0 and report.stores_proved > 0
+
+    @pytest.mark.parametrize("boundary", ALL_BOUNDARIES)
+    def test_over_wide_staging_window_proved(self, boundary):
+        """bilateral's 13x13 window on an 8x8 image: every staged pixel
+        crosses both borders, so only total mappings are provable. SHARED
+        has no regions to degenerate; SHARED_ISP refuses the geometry."""
+        desc = trace_kernel(
+            next(iter(PIPELINES["bilateral"](8, 8, boundary, 2.0))))
+        ck = compile_kernel(desc, variant=Variant.SHARED, block=(8, 4))
+        report = sanitize_compiled(ck)
+        assert report.ok, report.findings
+        with pytest.raises(CompileError, match="degenerate"):
+            compile_kernel(desc, variant=Variant.SHARED_ISP, block=(8, 4))
 
 
 class TestOutOfBoundsIsCaught:

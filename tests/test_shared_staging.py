@@ -14,13 +14,22 @@ from repro.compiler import (
 from repro.dsl import Boundary, Pipeline
 from repro.filters import bilateral, gaussian, laplace
 from repro.filters.reference import correlate, gaussian_reference
-from repro.gpu import GTX680, GlobalMemory, LaunchConfig, Profiler, launch
+from repro.gpu import (
+    GTX680,
+    VEGA64,
+    GlobalMemory,
+    LaunchConfig,
+    compute_occupancy,
+    launch,
+)
 from repro.gpu.simt import SimtError
 from repro.ir import DataType, IRBuilder, Opcode, Param, SpecialReg
 from repro.runtime import profile_kernel, run_pipeline_simt
+from repro.sanitize import sanitize_compiled
 from tests.conftest import make_conv_kernel
 
 PATTERNS = [Boundary.CLAMP, Boundary.MIRROR, Boundary.REPEAT, Boundary.CONSTANT]
+DEVICES = [GTX680, VEGA64]
 
 
 class TestBarrierExecution:
@@ -140,13 +149,59 @@ class TestSharedVariantsCorrectness:
         ref = bilateral_reference(src, Boundary.CLAMP, radius=3)
         assert np.abs(res.output - ref).max() < 1e-4
 
-    def test_matches_global_variants_bitexact(self, rng):
+    @pytest.mark.parametrize("device", DEVICES, ids=lambda d: d.name)
+    @pytest.mark.parametrize("variant", [Variant.SHARED, Variant.SHARED_ISP])
+    @pytest.mark.parametrize("boundary", PATTERNS)
+    def test_matches_global_variants_bitexact(self, boundary, variant, device,
+                                              rng):
         src = rng.random((48, 48)).astype(np.float32)
-        pipe = gaussian.build_pipeline(48, 48, Boundary.REPEAT)
+        pipe = gaussian.build_pipeline(48, 48, boundary, 0.3)
         a = run_pipeline_simt(pipe, variant=Variant.ISP, block=(16, 4),
-                              inputs={"inp": src})
-        s = run_pipeline_simt(pipe, variant=Variant.SHARED_ISP, block=(16, 4),
-                              inputs={"inp": src})
+                              device=device, inputs={"inp": src})
+        s = run_pipeline_simt(pipe, variant=variant, block=(16, 4),
+                              device=device, inputs={"inp": src})
+        assert np.array_equal(a.output, s.output)
+
+
+class TestBankPaddedRows:
+    """gaussian at 60x60 with block 30x4 stages 32-element rows: a warp32
+    part pads each to 33 (768 -> 792 B per block), a wave64 part does not.
+    Every consumer of the footprint must read the padded number."""
+
+    SIZE, BLOCK = 60, (30, 4)
+    EXPECTED = {"GTX680": 33 * 6 * 4, "VEGA64": 32 * 6 * 4}
+
+    def _desc(self):
+        pipe = gaussian.build_pipeline(self.SIZE, self.SIZE, Boundary.MIRROR)
+        return trace_kernel(next(iter(pipe)))
+
+    @pytest.mark.parametrize("device", DEVICES, ids=lambda d: d.name)
+    @pytest.mark.parametrize("variant", [Variant.SHARED, Variant.SHARED_ISP])
+    def test_footprint_agreement(self, variant, device):
+        desc = self._desc()
+        expected = self.EXPECTED[device.name]
+        assert shared_tile_bytes(desc, self.BLOCK, device.warp_size) == expected
+        ck = compile_kernel(desc, variant=variant, block=self.BLOCK,
+                            device=device)
+        # metadata is what the launcher allocates and the prover bounds.
+        assert int(ck.func.metadata["shared_bytes"]) == expected
+        assert sanitize_compiled(ck).ok
+        prof = profile_kernel(desc, variant=variant, block=self.BLOCK,
+                              device=device, use_cache=False)
+        assert prof.timing(device).occupancy == compute_occupancy(
+            device, self.BLOCK[0] * self.BLOCK[1], ck.registers.allocated,
+            shared_bytes=expected,
+        )
+
+    @pytest.mark.parametrize("device", DEVICES, ids=lambda d: d.name)
+    @pytest.mark.parametrize("variant", [Variant.SHARED, Variant.SHARED_ISP])
+    def test_padded_rows_match_isp(self, variant, device, rng):
+        src = rng.random((self.SIZE, self.SIZE)).astype(np.float32)
+        pipe = gaussian.build_pipeline(self.SIZE, self.SIZE, Boundary.MIRROR)
+        a = run_pipeline_simt(pipe, variant=Variant.ISP, block=self.BLOCK,
+                              device=device, inputs={"inp": src})
+        s = run_pipeline_simt(pipe, variant=variant, block=self.BLOCK,
+                              device=device, inputs={"inp": src})
         assert np.array_equal(a.output, s.output)
 
 
@@ -188,18 +243,34 @@ class TestSharedVariantStructure:
         with pytest.raises(CompileError, match="tile the image exactly"):
             compile_kernel(desc, variant=Variant.SHARED, block=(16, 4))
 
-    def test_point_operator_rejected(self):
+    @pytest.mark.parametrize("variant", [Variant.SHARED, Variant.SHARED_ISP])
+    def test_point_operator_compiles_naive(self, variant):
+        """Point operators gain nothing from staging: they collapse to
+        NAIVE exactly as under ISP, so pipelines with a point stage run."""
         from repro.filters import sobel
 
         pipe = sobel.build_pipeline(64, 64, Boundary.CLAMP)
         mag = trace_kernel(pipe.kernels[2])
-        with pytest.raises(CompileError, match="point operators"):
-            compile_kernel(mag, variant=Variant.SHARED)
+        ck = compile_kernel(mag, variant=variant)
+        assert ck.variant is variant
+        assert ck.effective_variant is Variant.NAIVE
+        assert "shared_bytes" not in ck.func.metadata
+        assert Opcode.BAR not in {i.op for i in ck.func.instructions()}
+
+    @pytest.mark.parametrize("app", ["sobel", "night"])
+    @pytest.mark.parametrize("variant", [Variant.SHARED, Variant.SHARED_ISP])
+    def test_pipelines_with_point_stages_run(self, app, variant, rng):
+        from repro.filters import PIPELINES, REFERENCES
+
+        src = rng.random((32, 32)).astype(np.float32)
+        pipe = PIPELINES[app](32, 32, Boundary.REPEAT)
+        res = run_pipeline_simt(pipe, variant=variant, block=(16, 4),
+                                inputs={"inp": src})
+        ref = REFERENCES[app](src, Boundary.REPEAT, 0.0)
+        assert np.abs(res.output - ref).max() < 1e-4
 
     def test_occupancy_accounts_for_shared(self):
         """A big tile must reduce resident blocks via the shared-mem limit."""
-        from repro.gpu import compute_occupancy
-
         no_smem = compute_occupancy(GTX680, 128, 32)
         big_tile = compute_occupancy(GTX680, 128, 32, shared_bytes=12 * 1024)
         assert big_tile.active_blocks_per_sm <= min(
