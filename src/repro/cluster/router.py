@@ -5,8 +5,8 @@ PlanCache` and an :class:`~repro.serve.autotune.AutoTuner` are only fast
 when the same workload keeps landing on the same engine. The router keys
 placement on the same identity the caches key on — the content digest of the
 workload's :class:`KernelDescription` chain (``combined_digest``), reached
-via the cheap ``trace_app`` step and memoized per request signature so the
-per-request cost is one dict lookup.
+through ``trace_app``, whose per-signature memo the engine shares, so a
+warm route costs a dict lookup and one short hash.
 
 Membership is a set of stable *slot names* (``"shard-0"``...), not
 addresses: a replacement process for a dead slot inherits the slot name and
@@ -92,30 +92,18 @@ class Router:
 
     The routing key is the *content digest* of the workload — two apps whose
     kernel chains trace to identical descriptions share a digest and
-    therefore a shard (and that shard's cached plan serves both). Tracing is
-    pure and depends only on ``(app, pattern, w, h, constant)``, so digests
-    are memoized on that cheap signature; the memo is append-only and tiny
-    (one entry per distinct workload shape, the same cardinality as the plan
-    cache keyspace itself).
+    therefore a shard (and that shard's cached plan serves both). The digest
+    comes from the same memoized :func:`~repro.serve.plan.trace_app` and
+    per-description digests the shard's engine resolves plans with, so the
+    two cannot disagree on a signature.
     """
 
     def __init__(self, table: RoutingTable):
         self.table = table
-        self._digests: dict[tuple, str] = {}
-        self._digest_lock = threading.Lock()
 
     def digest_for(self, app: str, pattern: str, width: int, height: int,
                    constant: float = 0.0) -> str:
-        sig = (app, pattern, width, height, constant)
-        with self._digest_lock:
-            cached = self._digests.get(sig)
-        if cached is not None:
-            return cached
-        descs = trace_app(app, pattern, width, height, constant)
-        digest = combined_digest(descs)
-        with self._digest_lock:
-            self._digests[sig] = digest
-        return digest
+        return combined_digest(trace_app(app, pattern, width, height, constant))
 
     def preference(self, digest: str) -> list[str]:
         """All slots, most-preferred first (ignores liveness — the failover

@@ -71,6 +71,9 @@ class KernelDescription:
     #: the host executor's op tape (:func:`repro.runtime.vectorized.lower`),
     #: set by the description's first host execution and immutable afterwards
     tape: object = dataclasses.field(default=None, repr=False, compare=False)
+    #: :meth:`stable_digest`'s value, set by its first call and immutable
+    #: afterwards (like ``tape``: nothing mutates a description once traced)
+    _digest: str | None = dataclasses.field(default=None, repr=False, compare=False)
 
     @property
     def is_point_operator(self) -> bool:
@@ -97,7 +100,10 @@ class KernelDescription:
         Covers everything compilation depends on: the canonical expression
         (which embeds every access's image geometry, boundary pattern and
         constant), the iteration-space geometry, and the output binding.
+        Computed once per description and memoized on it.
         """
+        if self._digest is not None:
+            return self._digest
         accs = ",".join(
             f"{a.image.name}:{a.image.width}x{a.image.height}:"
             f"{a.boundary.value}:{a.constant!r}"
@@ -113,7 +119,8 @@ class KernelDescription:
                 canonical_expr(self.expr),
             ]
         )
-        return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:32]
+        self._digest = hashlib.sha256(payload.encode("utf-8")).hexdigest()[:32]
+        return self._digest
 
 
 def trace_kernel(kernel: Kernel) -> KernelDescription:

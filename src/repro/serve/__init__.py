@@ -43,6 +43,7 @@ from .plan import (
     ExecutionPlan,
     PlanKey,
     build_plan,
+    clear_trace_cache,
     combined_digest,
     plan_key,
     trace_app,
@@ -75,6 +76,7 @@ __all__ = [
     "VariantBreaker",
     "build_plan",
     "build_workload",
+    "clear_trace_cache",
     "combined_digest",
     "format_report",
     "plan_key",

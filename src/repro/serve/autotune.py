@@ -78,7 +78,7 @@ def tuner_key(
 ) -> TunerKey:
     """Key a traced pipeline the same way plan keys do (content digest)."""
     return TunerKey(
-        digest=combined_digest(list(descs)),
+        digest=combined_digest(descs),
         width=descs[-1].width,
         height=descs[-1].height,
         pattern=pattern,

@@ -24,7 +24,7 @@ import numpy as np
 from ..gpu.device import DeviceSpec, GTX680
 from ..reporting import format_table
 from .engine import Request, ServeEngine
-from .plan import build_plan
+from .plan import build_plan, clear_trace_cache
 
 DEFAULT_APPS = ("gaussian", "laplace", "bilateral", "sobel", "night")
 DEFAULT_PATTERNS = ("clamp", "mirror")
@@ -70,6 +70,7 @@ def _clear_process_caches() -> None:
 
     clear_model_cache()
     clear_profile_cache()
+    clear_trace_cache()
 
 
 def run_baseline(requests: list[Request], *, device: DeviceSpec = GTX680,

@@ -128,15 +128,21 @@ class Request:
         self.image = np.asarray(self.image, dtype=np.float32)
         if self.image.ndim != 2:
             raise ValueError(f"expected a 2-D image, got shape {self.image.shape}")
+        self.constant = float(self.constant)
 
     @property
     def signature(self) -> tuple:
         """Cheap grouping key for micro-batching (no tracing needed): two
         requests with equal signatures are guaranteed to resolve to the same
-        plan key."""
+        plan key, and requests with different plan keys never share one.
+
+        The constant enters by its ``repr``, the form the plan key's digest
+        hashes: ``0.0`` and ``-0.0`` compare equal as floats but trace to
+        different digests, so they must not share a batch (and ``nan``
+        matches itself here, as its digest does)."""
         h, w = self.image.shape
-        return (self.app, self.pattern, self.variant, w, h, self.constant,
-                self.exec_mode)
+        return (self.app, self.pattern, self.variant, w, h,
+                repr(self.constant), self.exec_mode)
 
 
 @dataclasses.dataclass
@@ -489,14 +495,14 @@ class ServeEngine:
         self, request: Request
     ) -> tuple[ExecutionPlan, bool, list[str], float,
                Optional[tuple[TunerKey, str]], list[tuple]]:
-        """Plan for one workload signature: trace (cheap), resolve ``"auto"``
-        through the tuner, look up the cache by content digest, build on
-        miss; degrade isp/isp_warp -> naive on CompileError. Returns
-        (plan, was_hit, fallbacks, build_seconds, tuner_context,
-        trace_events) where tuner_context is ``(key, decided_variant)`` for
-        tuned requests and trace_events is a list of
-        ``(name, start, end, attrs)`` perf_counter stamps for sub-steps
-        (populated only while a tracer is installed)."""
+        """Plan for one workload signature: trace (memoized per signature
+        by :func:`trace_app`), resolve ``"auto"`` through the tuner, look up
+        the cache by content digest, build on miss; degrade isp/isp_warp ->
+        naive on CompileError. Returns (plan, was_hit, fallbacks,
+        build_seconds, tuner_context, trace_events) where tuner_context is
+        ``(key, decided_variant)`` for tuned requests and trace_events is a
+        list of ``(name, start, end, attrs)`` perf_counter stamps for
+        sub-steps (populated only while a tracer is installed)."""
         t0 = time.perf_counter()
         events: list[tuple] = []
         h, w = request.image.shape

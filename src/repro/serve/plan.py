@@ -12,16 +12,22 @@ workload and the latter once per request.
 
 Plan keys are content hashes (:meth:`KernelDescription.stable_digest`), not
 ``id()``-derived: two requests that describe the same computation hit the
-same cache line even though every trace builds fresh AST objects.
+same cache line even when their descriptions come from separate traces.
+
+Resolving a warm request does no tracing: :func:`trace_app` memoizes the
+traced descriptions per request signature, once per process, and each
+description memoizes its digest, so a plan-cache hit costs a few dict
+lookups and one SHA-256 over a few 32-character digests.
 """
 
 from __future__ import annotations
 
+import collections
 import dataclasses
 import hashlib
 import time
 import threading
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -66,26 +72,67 @@ class PlanKey:
                 f"{self.width}x{self.height}/{self.device}")
 
 
-def combined_digest(descs: list[KernelDescription]) -> str:
+def combined_digest(descs: Sequence[KernelDescription]) -> str:
     """Stable digest of a whole pipeline (order-sensitive)."""
     payload = "|".join(d.stable_digest() for d in descs)
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:32]
 
 
+#: Request signatures whose traces :func:`trace_app` keeps, least recently
+#: used evicted first. Larger than the plan cache's default capacity (64);
+#: an evicted signature is simply traced again.
+TRACE_MEMO_SIZE = 256
+
+_TRACES: collections.OrderedDict[tuple, tuple[KernelDescription, ...]] = (
+    collections.OrderedDict()
+)
+_TRACES_LOCK = threading.Lock()
+
+
+def clear_trace_cache() -> None:
+    """Forget every memoized trace, so the next :func:`trace_app` of each
+    signature traces afresh."""
+    with _TRACES_LOCK:
+        _TRACES.clear()
+
+
 def trace_app(
     app: str, pattern: str, width: int, height: int, constant: float = 0.0
-) -> list[KernelDescription]:
-    """Build + trace one registered application pipeline (the cheap step)."""
+) -> tuple[KernelDescription, ...]:
+    """Build + trace one registered application pipeline, once per signature.
+
+    A trace takes 0.15–0.85 ms at 64² (gaussian to night), as long as a warm
+    request's execution, so it is memoized per process on ``(app, pattern,
+    width, height, constant)``: tracing is pure in those, and every caller —
+    the engine, the router, the tuner — shares one immutable tuple of
+    descriptions per signature. The constant is keyed by its ``repr``, the
+    form :meth:`KernelDescription.stable_digest` hashes, so two constants
+    share an entry exactly when they share a digest (``0.0`` and ``-0.0``
+    do not).
+    """
+    key = (app, pattern, width, height, repr(constant))
+    with _TRACES_LOCK:
+        descs = _TRACES.get(key)
+        if descs is not None:
+            _TRACES.move_to_end(key)
+            return descs
     from ..filters import PIPELINES
 
     if app not in PIPELINES:
         raise KeyError(f"unknown app {app!r}; have {sorted(PIPELINES)}")
     pipe = PIPELINES[app](width, height, Boundary(pattern), constant)
-    return [trace_kernel(k) for k in pipe]
+    traced = tuple(trace_kernel(k) for k in pipe)
+    with _TRACES_LOCK:
+        # Threads racing on one new signature all return the first entry.
+        descs = _TRACES.setdefault(key, traced)
+        _TRACES.move_to_end(key)
+        while len(_TRACES) > TRACE_MEMO_SIZE:
+            _TRACES.popitem(last=False)
+    return descs
 
 
 def plan_key(
-    descs: list[KernelDescription],
+    descs: Sequence[KernelDescription],
     *,
     variant: str,
     pattern: str,
@@ -118,7 +165,7 @@ class ExecutionPlan:
 
     key: PlanKey
     app: str
-    descs: list[KernelDescription]
+    descs: tuple[KernelDescription, ...]
     kernel_variants: dict[str, str]
     build_seconds: float
     device: DeviceSpec
@@ -351,7 +398,7 @@ def build_plan(
     device: DeviceSpec = GTX680,
     block: tuple[int, int] = (32, 4),
     constant: float = 0.0,
-    descs: Optional[list[KernelDescription]] = None,
+    descs: Optional[Sequence[KernelDescription]] = None,
 ) -> ExecutionPlan:
     """Trace, validate and variant-select one workload (the slow path).
 
@@ -364,6 +411,7 @@ def build_plan(
     t0 = time.perf_counter()
     if descs is None:
         descs = trace_app(app, pattern, width, height, constant)
+    descs = tuple(descs)
     key = plan_key(descs, variant=variant, pattern=pattern, device=device,
                    block=block)
 

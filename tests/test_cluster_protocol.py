@@ -245,6 +245,33 @@ class TestRouting:
         with pytest.raises(NoLiveShards):
             r.route("gaussian", "clamp", 64, 64)
 
+    def test_router_digest_is_the_shard_engines_plan_digest(self):
+        # Gateway side: ClusterRequest normalizes the constant and the router
+        # digests it. Shard side: the constant crosses the wire in a frame
+        # header and the worker's engine resolves the plan key from it.
+        from repro.cluster import ClusterRequest
+        from repro.serve import Request, ServeEngine
+
+        r = Router(self._table())
+        image = np.zeros((16, 16), np.float32)
+        constants = [0, 0.0, -0.0, float("nan"), np.float32(0.3), 0.3]
+        with ServeEngine(workers=1) as engine:
+            for c in constants:
+                creq = ClusterRequest("gaussian", image=image,
+                                      pattern="constant", variant="naive",
+                                      constant=c)
+                routed = r.digest_for("gaussian", "constant", 16, 16,
+                                      creq.constant)
+                a, b = socket.socketpair()
+                with a, b:
+                    send_frame(a, {"constant": creq.constant})
+                    header, _ = recv_frame(b)
+                resp = engine.run([Request(
+                    app="gaussian", image=image, pattern="constant",
+                    variant="naive", constant=float(header["constant"]))])[0]
+                assert resp.ok, resp.error
+                assert routed == resp.plan_key.digest, c
+
     def test_distinct_workloads_spread(self):
         # 10 kinds over 3 shards: placement must use more than one shard.
         r = Router(self._table())

@@ -4,7 +4,14 @@ import threading
 
 import pytest
 
-from repro.serve import PlanCache, PlanKey, build_plan, plan_key, trace_app
+from repro.serve import (
+    PlanCache,
+    PlanKey,
+    build_plan,
+    clear_trace_cache,
+    plan_key,
+    trace_app,
+)
 
 
 def _key(tag: str) -> PlanKey:
@@ -19,7 +26,9 @@ class TestPlanKey:
         # produce the same key (the id()-based keys the cache replaces
         # would differ every time).
         a = trace_app("gaussian", "mirror", 128, 128)
+        clear_trace_cache()  # the second trace must not be the memo's entry
         b = trace_app("gaussian", "mirror", 128, 128)
+        assert a is not b and a[0] is not b[0]
         ka = plan_key(a, variant="isp+m", pattern="mirror")
         kb = plan_key(b, variant="isp+m", pattern="mirror")
         assert ka == kb
