@@ -252,8 +252,7 @@ def cmd_tune(args) -> int:
         for row in tuner.table():
             key = row["key"]
             obs = "/".join(
-                str(row["stats"][c].observations)
-                for c in ("naive", "isp", "isp_warp")
+                str(row["stats"][c].observations) for c in tuner.candidates
             )
             agree = {True: "yes", False: "NO", None: "?"}[row["agrees"]]
             rows.append([
@@ -269,7 +268,7 @@ def cmd_tune(args) -> int:
 
     print(format_table(
         ["config", "model G", "model pick", "learned pick",
-         "obs n/i/w", "agree"],
+         "obs " + "/".join(tuner.candidates), "agree"],
         rows,
         title=(f"tune: learned variant table vs analytic model "
                f"(Eq. 10) on {device.name}"),

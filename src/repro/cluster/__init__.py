@@ -47,7 +47,6 @@ from .protocol import (
     pack_frame,
     recv_frame,
     rendezvous_order,
-    route_key,
     send_frame,
     spans_from_wire,
     spans_to_wire,
@@ -84,7 +83,6 @@ __all__ = [
     "recv_frame",
     "reference_digests",
     "rendezvous_order",
-    "route_key",
     "run_cluster_bench",
     "run_load",
     "send_frame",

@@ -213,19 +213,6 @@ def rendezvous_order(key: str, slots: Sequence[str]) -> list[str]:
     return sorted(slots, key=lambda s: (_weight(key, s), s), reverse=True)
 
 
-def route_key(app: str, pattern: str, width: int, height: int,
-              constant: float = 0.0) -> str:
-    """Cheap routing key string for one request signature.
-
-    Two requests with equal signatures always resolve to the same
-    ``KernelDescription`` digest, so hashing the signature fields keeps a
-    plan's keyspace on one shard without tracing anything at the gateway.
-    The router upgrades this to the true content digest (memoized per
-    signature) so routing is keyed the same way plan caches are.
-    """
-    return f"{app}|{pattern}|{width}x{height}|{constant:g}"
-
-
 # ---------------------------------------------------------------------------
 # Span wire form (cross-process trace propagation)
 # ---------------------------------------------------------------------------

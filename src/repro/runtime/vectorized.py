@@ -26,8 +26,7 @@ The variants are schedules of tiles under one tile shape
   analogue of executing the checks for every pixel;
 * ``isp`` reads views for the tiles whose halo lies inside the image —
   the paper's check-free Body (Section III-C) at tile granularity — and
-  stages only the tiles that touch the edge. ``isp_warp`` runs the same
-  schedule: warp-aligned cuts (paper Listing 5) have no host mechanism;
+  stages only the tiles that touch the edge;
 * ``prepad`` is one staged tile over the whole image: :func:`repro.runtime
   .make_border.make_border` materializes the apron once (reused through a
   caller's ``pad_cache`` across stages and requests), then every tile
@@ -103,7 +102,7 @@ class OutOfBoundsError(IndexError):
 
 
 #: Every vectorized code shape this executor can run.
-VECTORIZED_VARIANTS = ("naive", "isp", "isp_warp", "prepad")
+VECTORIZED_VARIANTS = ("naive", "isp", "prepad")
 
 #: The one host tile shape. Large enough that a 64² request is one tile (the
 #: per-tile Python cost is paid once), small enough that a tile's scratch
@@ -134,26 +133,21 @@ def degenerate_geometry(width: int, height: int, hx: int, hy: int) -> bool:
 @functools.lru_cache(maxsize=256)
 def schedule(
     variant: str, width: int, height: int, hx: int, hy: int,
-    tile_rows: Optional[int] = None,
     region: Optional[tuple[int, int, int, int]] = None,
 ) -> tuple[Tile, ...]:
     """The tiles one variant evaluates over ``region`` (x0, x1, y0, y1;
     default the whole image), rows outer.
 
-    ``tile_rows`` overrides :data:`TILE_ROWS` (memory-bounded streaming of
-    large requests). Tiles cover the region exactly once; which of them
-    read views is the only thing the variants disagree on.
+    Tiles are at most :data:`TILE_ROWS` x :data:`TILE_COLS` and cover the
+    region exactly once; which of them read views is the only thing the
+    variants disagree on.
     """
     if variant not in VECTORIZED_VARIANTS:
         raise ValueError(f"unknown vectorized variant {variant!r}")
-    if tile_rows is None:
-        tile_rows = TILE_ROWS
-    if tile_rows <= 0:
-        raise ValueError("tile_rows must be positive")
     rx0, rx1, ry0, ry1 = region or (0, width, 0, height)
     tiles = []
-    for y0 in range(ry0, ry1, tile_rows):
-        y1 = min(y0 + tile_rows, ry1)
+    for y0 in range(ry0, ry1, TILE_ROWS):
+        y1 = min(y0 + TILE_ROWS, ry1)
         for x0 in range(rx0, rx1, TILE_COLS):
             x1 = min(x0 + TILE_COLS, rx1)
             if variant == "prepad":
@@ -480,19 +474,16 @@ def run_kernel_vectorized(
     images: dict[str, np.ndarray],
     *,
     variant: str = "isp",
-    tile_rows: Optional[int] = None,
     pad_cache: Optional[dict] = None,
     warp_width: Optional[int] = None,
 ) -> np.ndarray:
     """Evaluate one kernel over its full iteration space.
 
     ``variant`` picks the schedule (:func:`schedule`): ``"naive"`` stages
-    every tile, ``"isp"`` and ``"isp_warp"`` read views for the tiles whose
-    halo lies inside the image, and ``"prepad"`` materializes each input's
-    border once via :func:`repro.runtime.make_border.make_border`, then
-    reads views of the padded buffer. ``tile_rows`` caps the tile height
-    (memory-bounded streaming for large images); ``None`` uses
-    :data:`TILE_ROWS`.
+    every tile, ``"isp"`` reads views for the tiles whose halo lies inside
+    the image, and ``"prepad"`` materializes each input's border once via
+    :func:`repro.runtime.make_border.make_border`, then reads views of the
+    padded buffer.
 
     Inputs may carry leading batch axes — ``(N, H, W)`` stacks evaluate
     in one call and produce an ``(N, H, W)`` output (kernel-level
@@ -501,7 +492,7 @@ def run_kernel_vectorized(
     :func:`repro.runtime.make_border.padded_for`); callers that loop over
     taps/stages/requests on one image pay the gather exactly once.
     ``warp_width`` is accepted for callers that pass their device's warp
-    size; the host schedules ``isp_warp`` like ``isp`` and ignores it.
+    size; host tiles are not cut at warp boundaries, so it is ignored.
     """
     trace_ctx = None
     if _trace_core._current is not None:
@@ -520,7 +511,7 @@ def run_kernel_vectorized(
                 raise FaultError("runtime.vectorized.kernel", act.kind)
     h, w = desc.height, desc.width
     hx, hy = desc.extent
-    tiles = schedule(variant, w, h, hx, hy, tile_rows)
+    tiles = schedule(variant, w, h, hx, hy)
     lead = _check_inputs(desc.accessors, images)
     tape = lower(desc)
     if variant == "prepad":
@@ -547,7 +538,7 @@ def run_kernel_vectorized(
         tracer, parent = trace_ctx
         tracer.record_span(
             f"kernel:{desc.name}", parent, t_start, time.perf_counter(),
-            variant=variant, tile_rows=tile_rows, tiles=len(tiles),
+            variant=variant, tiles=len(tiles),
         )
     return out
 
@@ -571,7 +562,6 @@ def run_pipeline_vectorized(
     inputs: Optional[dict[str, np.ndarray]] = None,
     *,
     variant: str = "isp",
-    tile_rows: Optional[int] = None,
     pad_cache: Optional[dict] = None,
 ) -> dict[str, np.ndarray]:
     """Run all pipeline stages; returns every produced image by name.
@@ -587,7 +577,6 @@ def run_pipeline_vectorized(
     for kernel in pipeline:
         desc = trace_kernel(kernel)
         images[desc.output_name] = run_kernel_vectorized(
-            desc, images, variant=variant, tile_rows=tile_rows,
-            pad_cache=pad_cache,
+            desc, images, variant=variant, pad_cache=pad_cache
         )
     return images

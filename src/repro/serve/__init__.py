@@ -20,7 +20,6 @@ from .autotune import (
     AutoTuner,
     TunerKey,
     pipeline_gain,
-    pipeline_priors,
     tuner_key,
 )
 from .bench import build_workload, format_report, run_baseline, run_serve_bench
@@ -68,7 +67,6 @@ __all__ = [
     "Request",
     "TunerKey",
     "pipeline_gain",
-    "pipeline_priors",
     "tuner_key",
     "Response",
     "ResponseHandle",

@@ -8,12 +8,13 @@ enough for an online measurement to settle cheaply. The tuner closes that
 loop per configuration ``(pipeline digest, image size, border pattern,
 device)``:
 
-1. **Prior** — :func:`repro.model.prediction.predict_for` seeds the choice:
-   ``G <= 1`` starts from ``naive`` (the Section VI-A.2 fallback), ``G > 1``
-   from the partitioned family. The prior also orders the trial schedule, so
-   the very first request already runs the model's pick.
+1. **Prior** — :func:`pipeline_gain`, the Eq. 10 prediction ``isp+m``
+   plans already make, seeds the choice: ``G <= 1`` starts from ``naive``
+   (the Section VI-A.2 fallback), ``G > 1`` from ``isp``. The prior also
+   orders the trial schedule, so the very first request already runs the
+   model's pick.
 2. **Trials** — the next requests for the configuration are routed
-   round-robin across ``{naive, isp, isp_warp}`` on the vectorized executor
+   round-robin across :data:`TUNE_CANDIDATES`, the host's four schedules,
    until every candidate has ``trials_per_variant`` measured executions.
    Each candidate is scored by its *best* (minimum) observed time — the
    usual autotuner convention, because co-tenant work (plan compiles on a
@@ -32,9 +33,10 @@ device)``:
    and :meth:`AutoTuner.load` restores it, so a warm restart skips trials
    entirely (committed entries serve immediately).
 
-Degradation paths (compile fallback, execution failure) record a *penalty*:
-the failing variant's EMA is inflated and, after ``max_failures``, it is
-excluded from trials — a variant that cannot be built should never win.
+Degradation paths (execution failure, a tripped circuit breaker) record a
+*penalty*: the failing variant's EMA is inflated and, after
+``max_failures``, it is excluded from trials — a variant that keeps failing
+should never win.
 """
 
 from __future__ import annotations
@@ -52,10 +54,14 @@ from ..gpu.device import DeviceSpec
 from .metrics import MetricsRegistry
 from .plan import combined_digest
 
-#: Concrete vectorized code shapes the tuner arbitrates between. ``fused``
-#: is pipeline-level (overlapped tiles, no materialized intermediates); the
-#: others are per-stage strategies applied to staged execution.
-TUNE_CANDIDATES = ("naive", "isp", "isp_warp", "prepad", "fused")
+#: The host schedules the tuner arbitrates between. ``fused`` is
+#: pipeline-level (overlapped tiles, no materialized intermediates); the
+#: others are per-stage schedules applied to staged execution. ``isp_warp``
+#: is not one: the host runs it as ``isp``.
+TUNE_CANDIDATES = ("naive", "isp", "prepad", "fused")
+
+#: Arms of older persistence files and the candidate each now loads as.
+_RENAMED = {"isp_warp": "isp"}
 
 
 @dataclasses.dataclass(frozen=True)
@@ -112,51 +118,6 @@ def pipeline_gain(
     return math.exp(sum(math.log(max(g, 1e-12)) for g in gains) / len(gains))
 
 
-def pipeline_priors(
-    descs: Sequence[KernelDescription],
-    *,
-    block: tuple[int, int] = (32, 4),
-    device: DeviceSpec = None,
-) -> dict:
-    """Both model priors for a pipeline: ISP gain and prepad gain.
-
-    ``gain`` is :func:`pipeline_gain` (Eq. 10, partition vs naive);
-    ``prepad_gain`` is the analytic padding model's naive-over-prepad ratio
-    (:func:`repro.model.prediction.predict_prepad`), geometric-mean over
-    bordered kernels like the ISP side; ``fused_gain`` is the pipeline-level
-    staged-over-fused ratio (:func:`repro.model.prediction.predict_fused`,
-    the overlapped-tiling crossover). All are 1.0 (neutral) for
-    point-operator-only and single-kernel pipelines respectively.
-    """
-    from ..compiler.isp import CompileError
-    from ..model.prediction import predict_fused, predict_prepad
-
-    kwargs = {"block": block}
-    if device is not None:
-        kwargs["device"] = device
-    prepad_gains = []
-    for desc in descs:
-        if not desc.needs_border_handling:
-            continue
-        prepad_gains.append(predict_prepad(desc, **kwargs).gain)
-    if prepad_gains:
-        prepad_gain = math.exp(
-            sum(math.log(max(g, 1e-12)) for g in prepad_gains)
-            / len(prepad_gains)
-        )
-    else:
-        prepad_gain = 1.0
-    try:
-        fused_gain = predict_fused(list(descs), **kwargs).gain
-    except (ValueError, CompileError):
-        fused_gain = 1.0
-    return {
-        "gain": pipeline_gain(descs, block=block, device=device),
-        "prepad_gain": prepad_gain,
-        "fused_gain": fused_gain,
-    }
-
-
 @dataclasses.dataclass
 class VariantStats:
     """Measured state of one candidate variant within one configuration."""
@@ -204,19 +165,12 @@ class ConfigState:
 
     key: TunerKey
     model_gain: float
-    #: the model's prediction: "prepad" when the padding model's gain beats
-    #: both 1.0 and the ISP gain, else "isp" when G > 1, else "naive"
+    #: the model's prediction: "isp" when G > 1, else "naive"
     model_choice: str
     stats: dict[str, VariantStats]
     committed: Optional[str] = None
     switches: int = 0
     since_probe: int = 0
-    #: analytic padding-model gain (naive / prepad time); None for states
-    #: restored from pre-prepad persistence files
-    model_prepad_gain: Optional[float] = None
-    #: analytic fused-pipeline gain (staged / fused time); None for states
-    #: restored from pre-fusion persistence files
-    model_fused_gain: Optional[float] = None
 
     def eligible(self, candidates: Sequence[str], max_failures: int) -> list[str]:
         elig = [c for c in candidates if self.stats[c].failures < max_failures]
@@ -234,8 +188,8 @@ class ConfigState:
     def agrees_with_model(self) -> Optional[bool]:
         """Does the committed choice land on the model's side of Eq. 10?
 
-        ``isp`` and ``isp_warp`` are both the "partition" side; the model
-        only predicts partition-vs-naive. ``None`` until committed.
+        The model only predicts naive-vs-not: every other committed
+        candidate counts as the "partition" side. ``None`` until committed.
         """
         if self.committed is None:
             return None
@@ -324,13 +278,12 @@ class AutoTuner:
     # -------------------------------------------------------------- decisions
 
     def decide(
-        self, key: TunerKey, prior: Callable[[], Union[float, dict]]
+        self, key: TunerKey, prior: Callable[[], float]
     ) -> tuple[str, str]:
         """Pick the variant to build/execute for one request of ``key``.
 
-        ``prior`` returns the model priors — either the bare pipeline gain G
-        (float) or a :func:`pipeline_priors` dict carrying the prepad gain
-        too; it is only invoked the first time a configuration is seen.
+        ``prior`` returns the model's pipeline gain G (:func:`pipeline_gain`);
+        it is only invoked the first time a configuration is seen.
         Returns ``(variant, phase)`` with phase one of ``"trial"``,
         ``"probe"``, ``"serve"``.
         """
@@ -382,41 +335,18 @@ class AutoTuner:
         return candidate
 
     def _state_for(
-        self, key: TunerKey, prior: Callable[[], Union[float, dict]]
+        self, key: TunerKey, prior: Callable[[], float]
     ) -> ConfigState:
         with self._lock:
             state = self._states.get(key)
         if state is not None:
             return state
-        # The prior is either the bare ISP gain (legacy float) or a dict with
-        # every model prior — {"gain": G, "prepad_gain": ..., "fused_gain": ...}.
-        raw = prior()
-        if isinstance(raw, dict):
-            gain = float(raw.get("gain", 1.0))
-            prepad_gain = raw.get("prepad_gain")
-            prepad_gain = None if prepad_gain is None else float(prepad_gain)
-            fused_gain = raw.get("fused_gain")
-            fused_gain = None if fused_gain is None else float(fused_gain)
-        else:
-            gain = float(raw)
-            prepad_gain = None
-            fused_gain = None
-        choice = "isp" if gain > 1.0 else "naive"
-        if (prepad_gain is not None and "prepad" in self.candidates
-                and prepad_gain > max(gain, 1.0)):
-            choice = "prepad"
-        # The fused prior is a *pipeline-level* gain over staged execution;
-        # it outranks the per-stage priors only when it clears them all.
-        if (fused_gain is not None and "fused" in self.candidates
-                and fused_gain > max(gain, prepad_gain or 1.0, 1.0)):
-            choice = "fused"
+        gain = float(prior())
         fresh = ConfigState(
             key=key,
             model_gain=gain,
-            model_choice=choice,
+            model_choice="isp" if gain > 1.0 else "naive",
             stats={c: VariantStats() for c in self.candidates},
-            model_prepad_gain=prepad_gain,
-            model_fused_gain=fused_gain,
         )
         with self._lock:
             state = self._states.setdefault(key, fresh)
@@ -453,7 +383,7 @@ class AutoTuner:
     def penalize(
         self, key: TunerKey, variant: str, *, factor: float = 4.0
     ) -> None:
-        """Record a degradation (compile fallback / execution failure).
+        """Record a degradation (execution failure / breaker trip).
 
         The variant's score is inflated so the winner selection shies away
         from it, and after ``max_failures`` it is excluded from trials. A
@@ -508,8 +438,6 @@ class AutoTuner:
                 return {}
             return {
                 "model_gain": state.model_gain,
-                "model_prepad_gain": state.model_prepad_gain,
-                "model_fused_gain": state.model_fused_gain,
                 "model_choice": state.model_choice,
                 "committed": state.committed,
                 "switches": state.switches,
@@ -574,8 +502,6 @@ class AutoTuner:
                     {
                         **dataclasses.asdict(state.key),
                         "model_gain": state.model_gain,
-                        "model_prepad_gain": state.model_prepad_gain,
-                        "model_fused_gain": state.model_fused_gain,
                         "model_choice": state.model_choice,
                         "committed": state.committed,
                         "switches": state.switches,
@@ -597,7 +523,9 @@ class AutoTuner:
 
         Entries with a committed variant serve immediately on warm restart —
         no re-trialing. Unknown candidates in the file are dropped; missing
-        ones start fresh.
+        ones start fresh. A committed or predicted ``isp_warp``, from files
+        written while it was a candidate, loads as ``isp``, the schedule the
+        host runs it with.
         """
         source = Path(path) if path is not None else self.path
         if source is None:
@@ -627,23 +555,17 @@ class AutoTuner:
                     if c in stats:
                         stats[c] = VariantStats.from_json(data)
                 committed = entry.get("committed")
+                committed = _RENAMED.get(committed, committed)
                 if committed not in self.candidates:
                     committed = None
-                prepad_gain = entry.get("model_prepad_gain")
-                fused_gain = entry.get("model_fused_gain")
+                choice = entry["model_choice"]
                 self._states[key] = ConfigState(
                     key=key,
                     model_gain=float(entry["model_gain"]),
-                    model_choice=entry["model_choice"],
+                    model_choice=_RENAMED.get(choice, choice),
                     stats=stats,
                     committed=committed,
                     switches=int(entry.get("switches", 0)),
-                    model_prepad_gain=(
-                        None if prepad_gain is None else float(prepad_gain)
-                    ),
-                    model_fused_gain=(
-                        None if fused_gain is None else float(fused_gain)
-                    ),
                 )
                 restored += 1
             self._update_agreement_gauge()

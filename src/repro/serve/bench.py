@@ -157,7 +157,6 @@ def run_serve_bench(
             "cache_misses": misses,
             "hit_rate": hits / (hits + misses) if hits + misses else 0.0,
             "latency": stats["latency"],
-            "fallbacks_compile": stats["engine"]["engine.fallbacks_compile"],
             "fallbacks_timeout": stats["engine"]["engine.fallbacks_timeout"],
             "batches": stats["engine"]["engine.batches"],
         },
@@ -179,8 +178,7 @@ def format_report(report: dict) -> str:
         ["plan-cache hits/misses",
          f"{served['cache_hits']}/{served['cache_misses']}"],
         ["micro-batches", served["batches"]],
-        ["fallbacks (compile/timeout)",
-         f"{served['fallbacks_compile']}/{served['fallbacks_timeout']}"],
+        ["fallbacks (timeout)", served["fallbacks_timeout"]],
         ["served throughput", f"{served['throughput_rps']:.1f} req/s"],
         [f"baseline throughput (cold, n={base['requests']})",
          f"{base['throughput_rps']:.1f} req/s"],

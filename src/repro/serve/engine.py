@@ -6,8 +6,8 @@ Request lifecycle::
     requests sharing one workload signature --> plan cache (build on miss)
     --> kernel-level batched execution (one (N, H, W) vectorized call for
     the whole micro-batch) when eligible, else per-request execution
-    (vectorized host path, tiled for large images; or SIMT simulation under
-    a timeout with vectorized fallback) --> Response.
+    (vectorized host path, or SIMT simulation under a timeout with
+    vectorized fallback) --> Response.
 
 Robustness decisions, per DESIGN "production-shaped" goals:
 
@@ -18,9 +18,6 @@ Robustness decisions, per DESIGN "production-shaped" goals:
   enqueue. A request that exceeds it while still queued fails fast; a SIMT
   execution that exceeds it is abandoned and degrades to the vectorized
   path (recorded in ``Response.fallbacks`` and the fallback counters).
-* **Graceful degradation** — a plan that fails to build with
-  ``variant="isp"`` (degenerate geometry raises ``CompileError``) is rebuilt
-  as ``"naive"`` rather than failing the request.
 * **Plan sanitization** — every newly built plan runs the static bounds
   sanitizer (:mod:`repro.sanitize`) on its compiled kernels before entering
   the cache; a finding rejects the plan and fails its requests loudly
@@ -50,20 +47,19 @@ import itertools
 import threading
 import time
 from collections import deque
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
 from typing import Union
 
-from ..compiler.isp import CompileError
 from ..faults import core as _faults
 from ..faults.core import FaultError
 from ..trace import core as _trace_core
 from ..gpu.device import DeviceSpec, GTX680
 from ..gpu.profiler import EVENT_NAMES
 from ..sanitize.static import SanitizeError
-from .autotune import AutoTuner, TunerKey, pipeline_priors, tuner_key
+from .autotune import AutoTuner, TunerKey, pipeline_gain, tuner_key
 from .breaker import VariantBreaker
 from .cache import PlanCache
 from .metrics import MetricsRegistry
@@ -112,8 +108,6 @@ class Request:
     constant: float = 0.0
     #: wall-clock budget in seconds, measured from enqueue; None = unlimited
     timeout_s: Optional[float] = None
-    #: row-band height for tiled evaluation; None = engine decides
-    tile_rows: Optional[int] = None
     request_id: int = dataclasses.field(default_factory=lambda: next(_REQUEST_IDS))
 
     def __post_init__(self):
@@ -157,7 +151,7 @@ class Response:
     #: request learns what the tuner resolved it to from here)
     variant: Optional[str] = None
     cache_hit: bool = False
-    #: degradations applied, e.g. "compile:isp->naive", "timeout:simt->vectorized"
+    #: degradations applied, e.g. "breaker:isp->naive", "timeout:simt->vectorized"
     fallbacks: list[str] = dataclasses.field(default_factory=list)
     error: Optional[str] = None
     #: machine-readable failure class when ``error`` is set — one of
@@ -282,8 +276,6 @@ class ServeEngine:
         device: DeviceSpec = GTX680,
         block: tuple[int, int] = (32, 4),
         default_timeout_s: Optional[float] = None,
-        tile_threshold_rows: int = 1024,
-        tile_rows: int = 256,
         sanitize_plans: bool = True,
         kernel_batching: bool = True,
         metrics: Optional[MetricsRegistry] = None,
@@ -305,8 +297,6 @@ class ServeEngine:
         self.batch_size = batch_size
         self.queue_depth = queue_depth
         self.default_timeout_s = default_timeout_s
-        self.tile_threshold_rows = tile_threshold_rows
-        self.tile_rows = tile_rows
         self.sanitize_plans = sanitize_plans
         self.kernel_batching = kernel_batching
         self.retries = retries
@@ -341,8 +331,6 @@ class ServeEngine:
                                          "deadline passed during execution")
         self._c_fb_timeout = m.counter("engine.fallbacks_timeout",
                                        "simt -> vectorized on exec timeout")
-        self._c_fb_compile = m.counter("engine.fallbacks_compile",
-                                       "isp -> naive on CompileError")
         self._c_fb_error = m.counter("engine.fallbacks_error",
                                      "simt -> vectorized on execution error")
         self._c_retries = m.counter("engine.retries",
@@ -497,12 +485,11 @@ class ServeEngine:
                Optional[tuple[TunerKey, str]], list[tuple]]:
         """Plan for one workload signature: trace (memoized per signature
         by :func:`trace_app`), resolve ``"auto"`` through the tuner, look up
-        the cache by content digest, build on miss; degrade isp/isp_warp ->
-        naive on CompileError. Returns (plan, was_hit, fallbacks,
-        build_seconds, tuner_context, trace_events) where tuner_context is
-        ``(key, decided_variant)`` for tuned requests and trace_events is a
-        list of ``(name, start, end, attrs)`` perf_counter stamps for
-        sub-steps (populated only while a tracer is installed)."""
+        the cache by content digest, build on miss. Returns (plan, was_hit,
+        fallbacks, build_seconds, tuner_context, trace_events) where
+        tuner_context is ``(key, decided_variant)`` for tuned requests and
+        trace_events is a list of ``(name, start, end, attrs)`` perf_counter
+        stamps for sub-steps (populated only while a tracer is installed)."""
         t0 = time.perf_counter()
         events: list[tuple] = []
         h, w = request.image.shape
@@ -522,7 +509,7 @@ class ServeEngine:
                 t_tune = time.perf_counter()
                 variant, phase = self.tuner.decide(
                     key_t,
-                    lambda: pipeline_priors(
+                    lambda: pipeline_gain(
                         descs, block=self.block, device=self.device
                     ),
                 )
@@ -541,71 +528,44 @@ class ServeEngine:
                 tuner_ctx = (tuner_ctx[0], "naive")
             variant = "naive"
 
-        def factory_for(v: str) -> Callable[[], ExecutionPlan]:
-            def build() -> ExecutionPlan:
-                plan = build_plan(
-                    request.app, request.pattern, w, h, variant=v,
-                    device=self.device, block=self.block,
-                    constant=request.constant, descs=descs,
-                )
-                if self.sanitize_plans:
-                    # Sanitize inside the single-flight build so every plan
-                    # is bounds-checked exactly once, before it is cached.
-                    reports = plan.sanitize()
-                    if any(not r.ok for r in reports):
-                        raise SanitizeError(reports)
-                    self._c_sanitized.inc()
-                if _faults._current is not None:
-                    # Fault point: the sanitizer rejects this plan. Uses a
-                    # synthetic finding so the failure is exactly as typed
-                    # as a real rejection.
-                    act = _faults.fire("serve.engine.sanitize",
-                                       key=plan.key.short(), app=request.app)
-                    if act is not None:
-                        self._c_faults_observed.inc()
-                        raise SanitizeError([_injected_sanitize_report(v)])
-                return plan
-
-            return build
+        def build() -> ExecutionPlan:
+            plan = build_plan(
+                request.app, request.pattern, w, h, variant=variant,
+                device=self.device, block=self.block,
+                constant=request.constant, descs=descs,
+            )
+            if self.sanitize_plans:
+                # Sanitize inside the single-flight build so every plan is
+                # bounds-checked exactly once, before it is cached.
+                reports = plan.sanitize()
+                if any(not r.ok for r in reports):
+                    raise SanitizeError(reports)
+                self._c_sanitized.inc()
+            if _faults._current is not None:
+                # Fault point: the sanitizer rejects this plan. Uses a
+                # synthetic finding so the failure is exactly as typed as a
+                # real rejection.
+                act = _faults.fire("serve.engine.sanitize",
+                                   key=plan.key.short(), app=request.app)
+                if act is not None:
+                    self._c_faults_observed.inc()
+                    raise SanitizeError([_injected_sanitize_report(variant)])
+            return plan
 
         key = plan_key(descs, variant=variant, pattern=request.pattern,
                        device=self.device, block=self.block)
         try:
-            plan, hit = self.cache.get_or_build(key, factory_for(variant))
+            plan, hit = self.cache.get_or_build(key, build)
         except SanitizeError:
             # A bounds finding is a compiler bug, not a workload property:
             # degrading to another variant would serve potentially corrupt
             # pixels, so the request fails loudly instead.
             self._c_sanitize_rejected.inc()
             raise
-        except CompileError:
-            # Graceful degradation: the requested code shape is not
-            # expressible for this geometry — serve the naive plan instead.
-            self._c_fb_compile.inc()
-            fallbacks.append(f"compile:{variant}->naive")
-            if tuner_ctx is not None:
-                # The tuner must learn that this shape cannot be built here,
-                # or it will keep proposing it.
-                self.tuner.penalize(tuner_ctx[0], tuner_ctx[1])
-                tuner_ctx = (tuner_ctx[0], "naive")
-            key = plan_key(descs, variant="naive", pattern=request.pattern,
-                           device=self.device, block=self.block)
-            try:
-                plan, hit = self.cache.get_or_build(key, factory_for("naive"))
-            except SanitizeError:
-                self._c_sanitize_rejected.inc()
-                raise
         return (plan, hit, fallbacks, time.perf_counter() - t0, tuner_ctx,
                 events)
 
     # ------------------------------------------------------------ execution
-
-    def _tile_rows_for(self, request: Request) -> Optional[int]:
-        if request.tile_rows is not None:
-            return request.tile_rows
-        if request.image.shape[0] >= self.tile_threshold_rows:
-            return self.tile_rows
-        return None
 
     def _execute(
         self, plan: ExecutionPlan, pending: _Pending, response: Response
@@ -664,7 +624,7 @@ class ServeEngine:
                         for name, var, prof in collect
                     ]
                 return output
-        return plan.execute(request.image, tile_rows=self._tile_rows_for(request))
+        return plan.execute(request.image)
 
     def _execute_simt_with_timeout(
         self,
@@ -806,15 +766,13 @@ class ServeEngine:
         # Python/plan overhead of every stage is paid once for the whole
         # micro-batch. Disabled under fault injection (fault points are
         # keyed per request id; collapsing requests would change which
-        # requests a replayed plan hits) and for per-request tiling asks.
-        # Any batched failure falls back to the per-request retry path
-        # below, so batching can only ever speed requests up, not change
-        # their outcome.
+        # requests a replayed plan hits). Any batched failure falls back to
+        # the per-request retry path below, so batching can only ever speed
+        # requests up, not change their outcome.
         if (self.kernel_batching
                 and len(runnable) > 1
                 and leader.request.exec_mode == "vectorized"
                 and _faults._current is None
-                and all(p.request.tile_rows is None for p, _ in runnable)
                 and self._execute_kernel_batch(plan, runnable, tuner_ctx)):
             return
 

@@ -3,10 +3,10 @@
 A *plan* is the artifact the serve engine caches: the traced kernel
 descriptions of one application pipeline plus the per-kernel variant decision
 (the paper's ``isp+m`` model choice), bound to one geometry/pattern/device.
-Building a plan is the expensive part of a request — tracing, geometry
-validation, and for ``isp+m`` the analytic model (which compiles *both* the
-naive and the ISP variants of every bordered kernel to get register counts,
-Eq. 10) — while executing one is a tape pass per stage over a few tiles.
+Building a plan is the expensive part of a request — tracing, and for
+``isp+m`` the analytic model (which compiles *both* the naive and the ISP
+variants of every bordered kernel to get register counts, Eq. 10) — while
+executing one is a tape pass per stage over a few tiles.
 The whole point of :mod:`repro.serve` is to pay the former once per distinct
 workload and the latter once per request.
 
@@ -36,7 +36,6 @@ from ..compiler.frontend import KernelDescription, trace_kernel
 from ..compiler.fusion import FusedPlan, fuse_descs
 from ..compiler.fusion_simt import CompiledFusedKernel, compile_fused_simt
 from ..compiler.isp import CompileError, Variant
-from ..compiler.regions import RegionGeometry
 from ..dsl.boundary import Boundary
 from ..gpu.device import DeviceSpec, GTX680
 from ..runtime.executor import launch_stages
@@ -53,6 +52,17 @@ REQUEST_VARIANTS = PLAN_VARIANTS + ("auto",)
 
 #: Execution backends the engine can dispatch to.
 EXEC_MODES = ("vectorized", "simt")
+
+#: The host schedule (:func:`repro.runtime.vectorized.schedule`) each staged
+#: variant runs. Warp-aligned cuts (paper Listing 5) partition threadblocks,
+#: which the host does not have, so an ``isp_warp`` stage runs the ``isp``
+#: schedule; its SIMT kernel is still ``Variant.ISP_WARP``.
+_HOST_SCHEDULES = {
+    "naive": "naive",
+    "isp": "isp",
+    "isp_warp": "isp",
+    "prepad": "prepad",
+}
 
 
 @dataclasses.dataclass(frozen=True)
@@ -157,7 +167,8 @@ class ExecutionPlan:
     """One cached unit of planning: traced descs + per-kernel variant choices.
 
     ``kernel_variants`` maps each stage's output name (unique within a
-    pipeline) to the *vectorized* variant string ``"naive"`` or ``"isp"``.
+    pipeline) to the stage's variant: the plan's own, or ``"naive"`` for a
+    point operator, or the model's ``"isp"``/``"naive"`` under ``isp+m``.
     SIMT artifacts are compiled lazily on first SIMT execution and memoized
     on the plan (guarded by ``_simt_lock`` — plans are shared across worker
     threads).
@@ -247,16 +258,10 @@ class ExecutionPlan:
             )
         return {names[0]: arr}
 
-    def _run_stages(
-        self,
-        images: dict[str, np.ndarray],
-        tile_rows: Optional[int],
-    ) -> np.ndarray:
+    def _run_stages(self, images: dict[str, np.ndarray]) -> np.ndarray:
         if self.fused_plan is not None:
-            # One fused execution for the whole pipeline. The fused schedule
-            # carries its own (overlapped) tiling, which already bounds the
-            # per-tile working set — the request-level ``tile_rows``
-            # streaming knob does not apply.
+            # One fused execution for the whole pipeline, over the fused
+            # schedule's own (overlapped) tiles.
             from ..runtime.fused import run_fused
 
             return run_fused(self.fused_plan, images)
@@ -268,32 +273,26 @@ class ExecutionPlan:
             images[desc.output_name] = run_kernel_vectorized(
                 desc,
                 images,
-                variant=self.kernel_variants[desc.output_name],
-                tile_rows=tile_rows,
+                variant=_HOST_SCHEDULES[self.kernel_variants[desc.output_name]],
                 pad_cache=pad_cache,
             )
         return images[self.output_name]
 
-    def execute(
-        self, image: np.ndarray, *, tile_rows: Optional[int] = None
-    ) -> np.ndarray:
+    def execute(self, image: np.ndarray) -> np.ndarray:
         """Vectorized host execution of every stage under the plan's choices."""
-        return self._run_stages(self._bind_input(image), tile_rows)
+        return self._run_stages(self._bind_input(image))
 
-    def execute_batch(
-        self, images: np.ndarray, *, tile_rows: Optional[int] = None
-    ) -> np.ndarray:
+    def execute_batch(self, images: np.ndarray) -> np.ndarray:
         """Kernel-level batched execution: one ``(N, H, W)`` stack, one call.
 
         Every stage evaluates the whole batch in one tape pass (the leading
         axis rides through every window and op), so N same-signature
-        requests pay the Python/plan overhead once instead of N times. Plans and their cache digests are batch-agnostic: the
-        same cached plan serves N=1 and N=8 — batch size is an execution-
-        time property, not part of plan identity.
+        requests pay the Python/plan overhead once instead of N times.
+        Plans and their cache digests are batch-agnostic: the same cached
+        plan serves N=1 and N=8 — batch size is an execution-time property,
+        not part of plan identity.
         """
-        return self._run_stages(
-            self._bind_input(images, batch=True), tile_rows
-        )
+        return self._run_stages(self._bind_input(images, batch=True))
 
     def execute_simt(
         self,
@@ -400,13 +399,13 @@ def build_plan(
     constant: float = 0.0,
     descs: Optional[Sequence[KernelDescription]] = None,
 ) -> ExecutionPlan:
-    """Trace, validate and variant-select one workload (the slow path).
+    """Trace and variant-select one workload (the slow path).
 
-    For ``variant="isp"`` a degenerate region geometry raises
-    :class:`~repro.compiler.isp.CompileError` — the engine's graceful
-    degradation catches it and rebuilds the plan as ``"naive"`` (the
-    compiler's own silent fallback would hide the event from metrics).
-    ``variant="isp+m"`` invokes the analytic model per bordered kernel.
+    Every variant builds for every geometry: the total border mappings
+    stage any host tile (on a degenerate image no tile lies inside it, so
+    ``isp`` stages every tile like ``naive``), and the compiler collapses a
+    degenerate ISP kernel to the naive one. ``variant="isp+m"`` invokes
+    the analytic model per bordered kernel.
     """
     t0 = time.perf_counter()
     if descs is None:
@@ -419,32 +418,13 @@ def build_plan(
     for desc in descs:
         if not desc.needs_border_handling:
             choices[desc.output_name] = "naive"
-            continue
-        if variant == "naive":
-            choices[desc.output_name] = "naive"
-        elif variant in ("isp", "isp_warp"):
-            hx, hy = desc.extent
-            geom = RegionGeometry.compute(desc.width, desc.height, hx, hy, block)
-            if geom.degenerate:
-                raise CompileError(
-                    f"{desc.name}: degenerate ISP geometry for "
-                    f"{desc.width}x{desc.height} with block {block[0]}x{block[1]}"
-                )
-            choices[desc.output_name] = variant
-        elif variant == "prepad":
-            # No degenerate gate: the total border mappings in make_border
-            # cover any apron depth, over-wide windows included.
-            choices[desc.output_name] = "prepad"
-        elif variant == "fused":
-            # No degenerate gate either: the fused schedule's halo hulls are
-            # computed by the total border mapping, so over-wide windows and
-            # 1x1 images are covered (pinned by the pipeline differential).
-            choices[desc.output_name] = "fused"
-        else:  # isp+m — the model decides per kernel (paper Eq. 10)
+        elif variant == "isp+m":  # the model decides per kernel (Eq. 10)
             from ..model.prediction import predict_kernel
 
             prediction = predict_kernel(desc, block=block, device=device)
             choices[desc.output_name] = "isp" if prediction.use_isp else "naive"
+        else:
+            choices[desc.output_name] = variant
 
     fused_plan = None
     if variant == "fused":

@@ -23,12 +23,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.serve import AutoTuner, TunerKey
+from repro.serve import TUNE_CANDIDATES, AutoTuner, TunerKey
 
 KEY = TunerKey(digest="f" * 64, width=64, height=64,
                pattern="clamp", device="hypothetical")
 
-VARIANTS = ("naive", "isp", "isp_warp", "prepad", "fused")
+VARIANTS = TUNE_CANDIDATES
 
 
 def run_workload(tuner, key, base_times, noise_max, n_requests, rng):
@@ -50,10 +50,8 @@ def run_workload(tuner, key, base_times, noise_max, n_requests, rng):
     # rivals sit strictly above winner_base * noise_max: the winner is
     # stable even against its own worst noisy sample (an exact tie is a
     # legitimate coin-flip commit, not a stable winner)
-    lifts=st.tuples(st.floats(min_value=1.01, max_value=4.0),
-                    st.floats(min_value=1.01, max_value=4.0),
-                    st.floats(min_value=1.01, max_value=4.0),
-                    st.floats(min_value=1.01, max_value=4.0)),
+    lifts=st.tuples(*[st.floats(min_value=1.01, max_value=4.0)]
+                    * (len(VARIANTS) - 1)),
     trials=st.integers(min_value=1, max_value=3),
     probe_every=st.integers(min_value=3, max_value=12),
     hysteresis=st.floats(min_value=0.0, max_value=0.3),
@@ -106,16 +104,14 @@ def test_genuine_regime_change_switches_exactly_once(
     rng = random.Random(noise_seed)
 
     # phase 1: isp clearly fastest -> commit isp
-    phase1 = {"naive": 10e-3, "isp": 2e-3, "isp_warp": 12e-3,
-              "prepad": 14e-3, "fused": 16e-3}
+    phase1 = {"naive": 10e-3, "isp": 2e-3, "prepad": 14e-3, "fused": 16e-3}
     run_workload(tuner, KEY, phase1, 1.2, 4 + probe_every, rng)
     (row,) = tuner.table()
     assert row["committed"] == "isp"
 
     # phase 2: the regime shifts — isp degrades far past the margin while
     # naive probes come back well under it
-    phase2 = {"naive": 0.2e-3, "isp": 2e-3, "isp_warp": 12e-3,
-              "prepad": 14e-3, "fused": 16e-3}
+    phase2 = {"naive": 0.2e-3, "isp": 2e-3, "prepad": 14e-3, "fused": 16e-3}
     run_workload(tuner, KEY, phase2, 1.2, 6 * probe_every, rng)
 
     snap = tuner.metrics.snapshot()["counters"]
@@ -131,10 +127,9 @@ def test_switch_requires_beating_the_margin_strictly():
         tuner = AutoTuner(trials_per_variant=1, hysteresis=0.10,
                           probe_every=1)
         # commit naive at 10ms; rivals slower
-        for _ in range(5):
+        for _ in range(len(VARIANTS)):
             decided, phase = tuner.decide(KEY, prior=lambda: 0.5)
             tuner.observe(KEY, decided, {"naive": 10e-3, "isp": 20e-3,
-                                         "isp_warp": 30e-3,
                                          "prepad": 40e-3,
                                          "fused": 50e-3}[decided])
         (row,) = tuner.table()
@@ -147,7 +142,6 @@ def test_switch_requires_beating_the_margin_strictly():
                 tuner.observe(KEY, decided, target)
             else:
                 tuner.observe(KEY, decided, {"naive": 10e-3,
-                                             "isp_warp": 30e-3,
                                              "prepad": 40e-3,
                                              "fused": 50e-3}.get(decided,
                                                                  target))

@@ -112,3 +112,26 @@ class TestServeBenchCli:
         assert "plan-cache hit rate" in out
         assert "speedup over cold baseline" in out
         assert "errors" in out
+
+
+class TestTuneCli:
+    def test_observations_cover_every_candidate(self, capsys):
+        """One observation column entry per tuner arm, and every request of
+        a config is observed by exactly one of them."""
+        from repro.serve import TUNE_CANDIDATES
+
+        requests = 6
+        rc = main(["tune", "--apps", "gaussian,sobel", "--patterns", "clamp",
+                   "--size", "32", "--requests", str(requests),
+                   "--trials", "1", "--workers", "1"])
+        assert rc == 0
+        lines = capsys.readouterr().out.splitlines()
+        obs_header = "obs " + "/".join(TUNE_CANDIDATES)
+        header = next(line for line in lines if obs_header in line)
+        col = [cell.strip() for cell in header.split("|")].index(obs_header)
+        rows = [line.split("|") for line in lines if "/GTX680 " in line]
+        assert len(rows) == 2
+        for row in rows:
+            obs = [int(n) for n in row[col].split("/")]
+            assert len(obs) == len(TUNE_CANDIDATES)
+            assert sum(obs) == requests

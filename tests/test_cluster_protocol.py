@@ -25,7 +25,6 @@ from repro.cluster import (
     pack_frame,
     recv_frame,
     rendezvous_order,
-    route_key,
     send_frame,
     spans_from_wire,
     spans_to_wire,
@@ -183,11 +182,6 @@ class TestRendezvous:
             counts[rendezvous_order(f"key-{i}", self.SLOTS)[0]] += 1
         for slot, c in counts.items():
             assert 0.5 * n / 5 < c < 1.5 * n / 5, counts
-
-    def test_route_key_stability(self):
-        assert route_key("gaussian", "clamp", 128, 128) == \
-            "gaussian|clamp|128x128|0"
-        assert route_key("a", "b", 1, 2, 0.5) != route_key("a", "b", 1, 2)
 
 
 # ---------------------------------------------------------------------------

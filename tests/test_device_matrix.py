@@ -303,11 +303,11 @@ def test_autotune_prior_flips_with_the_device():
     GCN5's wave64 economics. TunerKeys carrying different devices never
     share state."""
     from repro.serve import pipeline_gain
-    from repro.serve.autotune import AutoTuner, tuner_key
+    from repro.serve.autotune import TUNE_CANDIDATES, AutoTuner, tuner_key
     from repro.serve.plan import trace_app
 
     descs = trace_app("laplace", "clamp", SIZE, SIZE)
-    tuner = AutoTuner(candidates=("naive", "isp", "isp_warp"))
+    tuner = AutoTuner(candidates=TUNE_CANDIDATES)
     choices = {}
     for dev in (GTX680, VEGA64):
         key = tuner_key(descs, "clamp", dev)

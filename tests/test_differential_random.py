@@ -16,7 +16,11 @@ from hypothesis import strategies as st
 from repro.compiler import Variant, trace_kernel
 from repro.dsl import Boundary, Pipeline
 from repro.filters.reference import correlate
-from repro.runtime import run_kernel_vectorized, run_pipeline_simt
+from repro.runtime import (
+    VECTORIZED_VARIANTS,
+    run_kernel_vectorized,
+    run_pipeline_simt,
+)
 from tests.conftest import make_conv_kernel
 
 PATTERNS = [Boundary.CLAMP, Boundary.MIRROR, Boundary.REPEAT, Boundary.CONSTANT]
@@ -93,7 +97,7 @@ class TestDifferential:
         kernel = make_conv_kernel(width, height, pattern, coeffs, constant)
         desc = trace_kernel(kernel)
 
-        for variant in ("naive", "isp", "isp_warp", "prepad"):
+        for variant in VECTORIZED_VARIANTS:
             batched = run_kernel_vectorized(
                 desc, {"inp": stack}, variant=variant
             )

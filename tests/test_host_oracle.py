@@ -26,6 +26,7 @@ from repro.runtime import (
     run_pipeline_fused,
     run_pipeline_vectorized,
 )
+from repro.runtime.vectorized import TILE_COLS, TILE_ROWS, schedule
 
 #: Written out here rather than imported, so the oracle stays independent:
 #: the 3x3 binomial and the 5x5 Laplacian (24 at the centre, -1 elsewhere).
@@ -63,8 +64,8 @@ def _bound(app, src):
 
 
 def _run(app, boundary, src, variant):
-    size = src.shape[-1]
-    pipe = PIPELINES[app](size, size, boundary, CONSTANT)
+    height, width = src.shape[-2:]
+    pipe = PIPELINES[app](width, height, boundary, CONSTANT)
     if variant == "fused":
         return run_pipeline_fused(pipe, {"inp": src})
     return run_pipeline_vectorized(pipe, {"inp": src}, variant=variant)["out"]
@@ -90,6 +91,19 @@ def test_matches_scipy(app, boundary, size):
 @pytest.mark.parametrize("app", sorted(MASKS))
 def test_stacks_match_scipy(app, boundary):
     src = np.random.default_rng(7).uniform(-1, 1, (3, 17, 17))
+    _check(app, boundary, src.astype(np.float32))
+
+
+@pytest.mark.parametrize("boundary", list(MODES), ids=lambda b: b.value)
+@pytest.mark.parametrize("app", sorted(MASKS))
+def test_multi_tile_images_match_scipy(app, boundary):
+    """Three host tiles each way, the last row band one pixel tall: under
+    isp gaussian's centre tile reads views and every other tile is staged,
+    prepad views every tile of its padded buffer, fused runs its own tiles."""
+    height, width = 2 * TILE_ROWS + 1, 2 * TILE_COLS + 3
+    tiles = schedule("isp", width, height, 1, 1)
+    assert len(tiles) == 9 and sum(view for *_, view in tiles) == 1
+    src = np.random.default_rng(11).uniform(-1, 1, (height, width))
     _check(app, boundary, src.astype(np.float32))
 
 

@@ -87,7 +87,6 @@ class TestSchedule:
             inside = (x0 >= 3 and x1 + 3 <= width
                       and y0 >= 2 and y1 + 2 <= height)
             assert view == inside
-        assert schedule("isp_warp", width, height, 3, 2) == tiles
         # A view window shares the source's memory; a staged one does not.
         desc = trace_kernel(make_conv_kernel(
             width, height, Boundary.MIRROR, np.ones((5, 7), np.float32)))
@@ -108,13 +107,6 @@ class TestSchedule:
     def test_degenerate_stages_every_tile(self):
         assert schedule("isp", 10, 10, 6, 6) == schedule(
             "naive", 10, 10, 6, 6) == ((0, 10, 0, 10, False),)
-
-    def test_tile_rows_bands_the_schedule(self):
-        tiles = schedule("isp", 64, 64, 1, 1, tile_rows=7)
-        assert [t[2:4] for t in tiles][:2] == [(0, 7), (7, 14)]
-        assert np.all(_coverage(tiles, 64, 64) == 1)
-        with pytest.raises(ValueError, match="tile_rows"):
-            schedule("isp", 64, 64, 1, 1, tile_rows=0)
 
     def test_degenerate_kernel_falls_back(self):
         src = np.random.default_rng(3).random((10, 10)).astype(np.float32)

@@ -36,8 +36,8 @@ def make_tuner(**kw):
 def drain_trials(tuner, key, timings, prior=2.0):
     """Run the full trial phase, feeding ``timings[variant]`` per trial.
 
-    Tests written around the three original arms need not mention prepad or
-    fused: unless a timing is given, they trial at never-winning times.
+    Tests about naive vs isp need not mention prepad or fused: unless a
+    timing is given, they trial at never-winning times.
     """
     timings = {"prepad": 9.0, "fused": 9.5, **timings}
     while True:
@@ -56,7 +56,6 @@ class TestDecisionLifecycle:
             assert phase == "trial"
             seen.append(variant)
             tuner.observe(KEY, variant, {"naive": 3.0, "isp": 1.0,
-                                         "isp_warp": 2.0,
                                          "prepad": 4.0,
                                          "fused": 5.0}[variant])
         assert sorted(seen) == sorted(TUNE_CANDIDATES)
@@ -112,7 +111,6 @@ class TestMinScoring:
         timings = {
             "naive": iter([0.050, 0.001]),   # contaminated, then clean
             "isp": iter([0.004, 0.004]),
-            "isp_warp": iter([0.005, 0.005]),
             "prepad": iter([0.006, 0.006]),
             "fused": iter([0.007, 0.007]),
         }
@@ -128,7 +126,7 @@ class TestMinScoring:
 
     def test_ema_still_tracked_for_reporting(self):
         tuner = make_tuner()
-        drain_trials(tuner, KEY, {"naive": 1.0, "isp": 2.0, "isp_warp": 3.0})
+        drain_trials(tuner, KEY, {"naive": 1.0, "isp": 2.0})
         st = tuner.table()[0]["stats"]["naive"]
         assert st.ema_seconds == pytest.approx(1.0)
         assert st.best_seconds == pytest.approx(1.0)
@@ -137,7 +135,7 @@ class TestMinScoring:
 class TestHysteresisAndProbes:
     def test_small_improvement_does_not_flap(self):
         tuner = make_tuner(hysteresis=0.10)
-        drain_trials(tuner, KEY, {"naive": 1.00, "isp": 1.50, "isp_warp": 2.0})
+        drain_trials(tuner, KEY, {"naive": 1.00, "isp": 1.50})
         # isp improves to within 10% of naive: no switch.
         tuner.observe(KEY, "isp", 0.95)
         assert tuner.table()[0]["committed"] == "naive"
@@ -150,7 +148,7 @@ class TestHysteresisAndProbes:
 
     def test_probe_schedules_the_runner_up(self):
         tuner = make_tuner(probe_every=3)
-        drain_trials(tuner, KEY, {"naive": 1.0, "isp": 2.0, "isp_warp": 3.0})
+        drain_trials(tuner, KEY, {"naive": 1.0, "isp": 2.0})
         phases = []
         for _ in range(6):
             variant, phase = tuner.decide(KEY, lambda: 2.0)
@@ -181,7 +179,7 @@ class TestPenalties:
 
     def test_penalty_inflates_scores(self):
         tuner = make_tuner()
-        drain_trials(tuner, KEY, {"naive": 1.0, "isp": 2.0, "isp_warp": 3.0})
+        drain_trials(tuner, KEY, {"naive": 1.0, "isp": 2.0})
         tuner.penalize(KEY, "naive", factor=4.0)
         st = tuner.table()[0]["stats"]["naive"]
         assert st.best_seconds == pytest.approx(4.0)
@@ -189,7 +187,7 @@ class TestPenalties:
 
     def test_committed_variant_demoted_after_repeated_failures(self):
         tuner = make_tuner(max_failures=2)
-        drain_trials(tuner, KEY, {"naive": 2.0, "isp": 1.0, "isp_warp": 3.0})
+        drain_trials(tuner, KEY, {"naive": 2.0, "isp": 1.0})
         assert tuner.table()[0]["committed"] == "isp"
         tuner.penalize(KEY, "isp")
         tuner.penalize(KEY, "isp")
@@ -200,11 +198,10 @@ class TestAgreement:
     def test_agreement_rate_is_a_live_table_iii(self):
         tuner = make_tuner()
         # Model says partition (G=2), measurement agrees (isp wins).
-        drain_trials(tuner, KEY, {"naive": 3.0, "isp": 1.0, "isp_warp": 2.0},
+        drain_trials(tuner, KEY, {"naive": 3.0, "isp": 1.0},
                      prior=2.0)
-        # Model says naive (G=0.8), measurement disagrees (isp_warp wins).
-        drain_trials(tuner, KEY2, {"naive": 3.0, "isp": 2.0, "isp_warp": 1.0},
-                     prior=0.8)
+        # Model says naive (G=0.8), measurement disagrees (isp wins).
+        drain_trials(tuner, KEY2, {"naive": 3.0, "isp": 1.0}, prior=0.8)
         assert tuner.agreement_rate() == pytest.approx(0.5)
         counters = tuner.metrics.snapshot()["counters"]
         assert counters["tuner.commits"] == 2
@@ -212,19 +209,12 @@ class TestAgreement:
         rows = tuner.table()
         assert [r["agrees"] for r in rows] == [True, False]
 
-    def test_isp_warp_counts_as_the_partition_side(self):
-        tuner = make_tuner()
-        drain_trials(tuner, KEY, {"naive": 3.0, "isp": 2.0, "isp_warp": 1.0},
-                     prior=2.0)
-        assert tuner.table()[0]["committed"] == "isp_warp"
-        assert tuner.table()[0]["agrees"] is True
-
 
 class TestPersistence:
     def test_save_load_roundtrip_skips_trials(self, tmp_path):
         path = tmp_path / "tune.json"
         tuner = make_tuner(path=path)
-        drain_trials(tuner, KEY, {"naive": 3.0, "isp": 1.0, "isp_warp": 2.0})
+        drain_trials(tuner, KEY, {"naive": 3.0, "isp": 1.0})
         tuner.save()
 
         warm = AutoTuner(trials_per_variant=1, path=path)
@@ -236,7 +226,7 @@ class TestPersistence:
     def test_save_is_versioned_and_sorted(self, tmp_path):
         path = tmp_path / "tune.json"
         tuner = make_tuner(path=path)
-        drain_trials(tuner, KEY, {"naive": 1.0, "isp": 2.0, "isp_warp": 3.0})
+        drain_trials(tuner, KEY, {"naive": 1.0, "isp": 2.0})
         tuner.save()
         payload = json.loads(path.read_text())
         assert payload["version"] == 1
@@ -267,7 +257,7 @@ class TestPersistence:
     def test_unknown_file_candidates_dropped(self, tmp_path):
         path = tmp_path / "tune.json"
         tuner = make_tuner(path=path)
-        drain_trials(tuner, KEY, {"naive": 1.0, "isp": 2.0, "isp_warp": 3.0})
+        drain_trials(tuner, KEY, {"naive": 1.0, "isp": 2.0})
         tuner.save()
         payload = json.loads(path.read_text())
         payload["configs"][0]["committed"] = "gone_variant"
@@ -299,103 +289,53 @@ class TestModelSeeding:
 
 
 class TestPrepadArm:
-    """The raw-speed tier as a fourth arm: priors, ordering, persistence."""
-
-    def test_dict_prior_can_choose_prepad(self):
-        tuner = make_tuner()
-        # Padding model beats both the ISP gain and 1.0: prepad is the
-        # model's pick and therefore runs the very first trial.
-        variant, phase = tuner.decide(
-            KEY, lambda: {"gain": 1.4, "prepad_gain": 2.5})
-        assert (variant, phase) == ("prepad", "trial")
-        assert tuner.explain(KEY)["model_choice"] == "prepad"
-        assert tuner.explain(KEY)["model_prepad_gain"] == 2.5
-
-    def test_dict_prior_defers_to_isp_when_prepad_weaker(self):
-        tuner = make_tuner()
-        variant, _ = tuner.decide(
-            KEY, lambda: {"gain": 2.0, "prepad_gain": 1.5})
-        assert variant == "isp"
-        variant, _ = tuner.decide(
-            KEY2, lambda: {"gain": 0.8, "prepad_gain": 0.9})
-        assert variant == "naive"
-
-    def test_float_prior_still_accepted(self):
-        """Legacy callers hand back the bare ISP gain; the prepad prior is
-        simply unknown (None), never a crash."""
-        tuner = make_tuner()
-        variant, phase = tuner.decide(KEY, lambda: 2.0)
-        assert (variant, phase) == ("isp", "trial")
-        assert tuner.explain(KEY)["model_prepad_gain"] is None
-
     def test_prepad_commit_when_it_wins_trials(self):
         tuner = make_tuner()
         variant, phase = drain_trials(
-            tuner, KEY,
-            {"naive": 3.0, "isp": 2.0, "isp_warp": 2.5, "prepad": 1.0},
-            prior={"gain": 1.2, "prepad_gain": 3.0})
+            tuner, KEY, {"naive": 3.0, "isp": 2.0, "prepad": 1.0}, prior=1.2)
         assert (variant, phase) == ("prepad", "serve")
         row = tuner.table()[0]
         assert row["committed"] == "prepad"
-        # model said prepad (non-naive side), measurement committed prepad:
+        # model said isp (non-naive side), measurement committed prepad:
         # that is agreement under the Eq. 10 binary split.
         assert row["agrees"] is True
 
-    def test_model_prepad_gain_roundtrips_persistence(self, tmp_path):
-        path = tmp_path / "tune.json"
-        tuner = make_tuner(path=path)
-        drain_trials(tuner, KEY,
-                     {"naive": 3.0, "isp": 2.0, "isp_warp": 2.5,
-                      "prepad": 1.0},
-                     prior={"gain": 1.2, "prepad_gain": 3.0})
-        tuner.save()
-        payload = json.loads(path.read_text())
-        assert payload["configs"][0]["model_prepad_gain"] == 3.0
-        assert payload["configs"][0]["committed"] == "prepad"
 
-        warm = AutoTuner(trials_per_variant=1, path=path)
-        variant, phase = warm.decide(KEY, lambda: 0.0)
-        assert (variant, phase) == ("prepad", "serve")
-        assert warm.explain(KEY)["model_prepad_gain"] == 3.0
-
-    def test_pre_prepad_persistence_files_load_clean(self, tmp_path):
-        """A table saved before the prepad arm existed has no
-        model_prepad_gain key and no prepad stats — it must restore with
-        None / fresh stats, not KeyError."""
+class TestParentFormatFiles:
+    def test_isp_warp_commit_loads_as_isp(self, tmp_path):
+        """A table written while ``isp_warp`` was a candidate and the prior
+        carried prepad and fused gains: the committed ``isp_warp`` serves as
+        ``isp`` with no new trials, the prior fields are ignored and the
+        ``isp_warp`` stats dropped like any unknown arm's."""
         path = tmp_path / "tune.json"
+        stats = {c: {"best_seconds": t, "ema_seconds": t, "observations": 1,
+                     "failures": 0}
+                 for c, t in [("naive", 0.003), ("isp", 0.002),
+                              ("isp_warp", 0.001), ("prepad", 0.004),
+                              ("fused", 0.005)]}
         path.write_text(json.dumps({
             "version": 1,
-            "candidates": ["naive", "isp", "isp_warp"],
+            "candidates": ["naive", "isp", "isp_warp", "prepad", "fused"],
             "configs": [{
                 "digest": "abc123", "width": 64, "height": 64,
                 "pattern": "clamp", "device": "GTX680",
-                "model_gain": 2.0, "model_choice": "isp",
-                "committed": "isp", "switches": 0,
-                "stats": {"isp": {"best_seconds": 0.001,
-                                  "observations": 2}},
+                "model_gain": 2.0, "model_prepad_gain": 1.0,
+                "model_fused_gain": 0.9, "model_choice": "isp_warp",
+                "committed": "isp_warp", "switches": 0, "stats": stats,
             }],
         }))
         warm = AutoTuner(path=path)
-        assert warm.explain(KEY)["model_prepad_gain"] is None
-        assert warm.table()[0]["committed"] == "isp"
-        assert warm.table()[0]["stats"]["prepad"].observations == 0
-
-    def test_pipeline_priors_shape(self):
-        from repro.serve import pipeline_priors
-
-        priors = pipeline_priors(trace_app("gaussian", "clamp", 256, 256),
-                                 device=DEVICES["GTX680"])
-        assert set(priors) == {"gain", "prepad_gain", "fused_gain"}
-        assert priors["gain"] == pytest.approx(pipeline_gain(
-            trace_app("gaussian", "clamp", 256, 256),
-            device=DEVICES["GTX680"]))
-        assert priors["prepad_gain"] > 0
-        # Point-operator-only pipelines: every prior neutral.
-        point_only = [d for d in trace_app("night", "clamp", 64, 64)
-                      if not d.needs_border_handling]
-        neutral = pipeline_priors(point_only, device=DEVICES["GTX680"])
-        assert neutral == {"gain": 1.0, "prepad_gain": 1.0,
-                           "fused_gain": 1.0}
+        variant, phase = warm.decide(KEY, lambda: (_ for _ in ()).throw(
+            AssertionError("prior must not be re-evaluated on warm restart")))
+        assert (variant, phase) == ("isp", "serve")
+        assert warm.metrics.snapshot()["counters"]["tuner.trials"] == 0
+        row = warm.table()[0]
+        assert row["model_choice"] == "isp"
+        assert set(row["stats"]) == set(TUNE_CANDIDATES)
+        assert row["stats"]["isp"].best_seconds == 0.002
+        assert set(warm.explain(KEY)) == {
+            "model_gain", "model_choice", "committed", "switches",
+            "observations"}
 
 
 class TestEngineIntegration:
@@ -436,6 +376,23 @@ class TestEngineIntegration:
                 assert resp.ok, resp.error
                 np.testing.assert_allclose(resp.output, ref, rtol=1e-5,
                                            atol=1e-5)
+
+    def test_prior_is_the_isp_m_prediction(self, image):
+        """The tuner's prior is Eq. 10's pipeline gain, and its pick is the
+        stage choice an ``isp+m`` plan makes for the same kernel."""
+        from repro.serve import build_plan
+
+        descs = trace_app("gaussian", "clamp", 48, 48)
+        with ServeEngine(workers=1, batch_size=1, autotune=True) as engine:
+            engine.run([Request(app="gaussian", image=image, pattern="clamp",
+                                variant="auto")])
+            facts = engine.tuner.explain(
+                tuner_key(descs, "clamp", engine.device))
+            plan = build_plan("gaussian", "clamp", 48, 48, variant="isp+m",
+                              device=engine.device, block=engine.block)
+        assert facts["model_gain"] == pipeline_gain(
+            descs, block=engine.block, device=engine.device)
+        assert [facts["model_choice"]] == [v for _, v in plan.stages()]
 
     def test_auto_without_tuner_degrades_to_model_policy(self, image):
         with ServeEngine(workers=1) as engine:

@@ -70,15 +70,6 @@ class TestBasicServing:
         assert stats["engine"]["engine.responses_ok"] == 10
         assert stats["latency"]["engine.execute_seconds"]["count"] == 10
 
-    def test_tiled_execution_is_bit_identical(self, image):
-        with ServeEngine(workers=1) as engine:
-            plain, tiled = engine.run([
-                Request(app="laplace", image=image, variant="isp"),
-                Request(app="laplace", image=image, variant="isp",
-                        tile_rows=7),
-            ])
-        assert np.array_equal(plain.output, tiled.output)
-
     def test_request_validation(self, image):
         with pytest.raises(ValueError):
             Request(app="gaussian", image=image, variant="warp11")
@@ -174,8 +165,6 @@ class TestPlanBatchExecution:
 
         stack = rng.random((3, 32, 32), dtype=np.float32)
         for variant in PLAN_VARIANTS:
-            if variant in ("isp", "isp_warp"):
-                continue  # 32x32 with block (32, 4) is degenerate for pure ISP
             plan = build_plan("laplace", "mirror", 32, 32, variant=variant)
             batched = plan.execute_batch(stack)
             assert batched.shape == (3, 32, 32), variant
@@ -218,10 +207,87 @@ class TestPlanBatchExecution:
         assert reports and all(r.ok for r in reports)
 
 
+#: (app, size) pairs whose ISP geometry is degenerate at block 32x4 for at
+#: least one bordered stage.
+DEGENERATE_ISP = [("laplace", 3), ("laplace", 17), ("laplace", 24),
+                  ("laplace", 33), ("bilateral", 16), ("gaussian", 2),
+                  ("night", 20)]
+
+
+class TestIspPlans:
+    """``isp`` and ``isp_warp`` plans build for every geometry, and an
+    ``isp_warp`` stage runs the host's ``isp`` schedule."""
+
+    @pytest.mark.parametrize("pattern", ["clamp", "mirror", "repeat",
+                                         "constant"])
+    @pytest.mark.parametrize("app,size", DEGENERATE_ISP)
+    def test_degenerate_geometry_serves_naive_bits(self, rng, app, size,
+                                                   pattern):
+        from repro.compiler import Variant
+        from repro.compiler.regions import RegionGeometry
+        from repro.serve.plan import build_plan
+
+        block = (32, 4)
+        img = rng.random((size, size), dtype=np.float32)
+        naive = build_plan(app, pattern, size, size, variant="naive",
+                           block=block)
+        expected = naive.execute(img)
+        bordered = {d.name for d in naive.descs if d.needs_border_handling}
+        degenerate = {
+            d.name for d in naive.descs if d.name in bordered
+            and RegionGeometry.compute(d.width, d.height, *d.extent,
+                                       block).degenerate
+        }
+        assert degenerate
+        for variant in ("isp", "isp_warp"):
+            plan = build_plan(app, pattern, size, size, variant=variant,
+                              block=block)
+            assert [v for name, v in plan.stages() if name in bordered] == [
+                variant] * len(bordered)
+            assert np.array_equal(plan.execute(img), expected), variant
+            for name, _, ck in plan._simt_stages():
+                if name in degenerate:
+                    assert ck.effective_variant is Variant.NAIVE, (
+                        variant, name)
+
+    @pytest.mark.parametrize("pattern", ["clamp", "mirror", "repeat",
+                                         "constant"])
+    def test_isp_warp_stage_runs_the_isp_schedule(self, rng, pattern):
+        from repro.compiler import Variant
+        from repro.runtime.vectorized import TILE_COLS, TILE_ROWS, schedule
+        from repro.serve import plan as plan_mod
+
+        # The middle tile lies inside the image, so isp reads a view there.
+        width, height = 2 * TILE_COLS + 3, 2 * TILE_ROWS + 3
+        (desc,) = plan_mod.trace_app("laplace", pattern, width, height)
+        assert any(t[4] for t in schedule("isp", width, height, *desc.extent))
+        img = rng.random((height, width), dtype=np.float32)
+        seen = []
+        real = plan_mod.run_kernel_vectorized
+
+        def recording(desc, images, *, variant, **kw):
+            seen.append(variant)
+            return real(desc, images, variant=variant, **kw)
+
+        outs = {}
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(plan_mod, "run_kernel_vectorized", recording)
+            for variant in ("isp_warp", "isp"):
+                plan = plan_mod.build_plan("laplace", pattern, width, height,
+                                           variant=variant)
+                outs[variant] = plan.execute(img)
+        assert seen == ["isp", "isp"]
+        assert np.array_equal(outs["isp_warp"], outs["isp"])
+        warp = plan_mod.build_plan("laplace", pattern, width, height,
+                                   variant="isp_warp")
+        assert [v for _, v, _ in warp._simt_stages()] == ["isp_warp"]
+        assert warp._compiled_simt()[0].effective_variant is Variant.ISP_WARP
+
+
 class TestKernelBatching:
     """Engine-level (N, H, W) collapse of same-signature micro-batches."""
 
-    def _run_gated(self, engine, image, n=6, tile_rows=None):
+    def _run_gated(self, engine, image, n=6):
         """Block the single worker on the first (singleton) batch so the
         remaining requests pile up and dequeue as one micro-batch."""
         gate = threading.Event()
@@ -240,15 +306,14 @@ class TestKernelBatching:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(ServeEngine, "_execute", gated_marking)
             handles = [engine.submit(Request(app="gaussian", image=image,
-                                             variant="prepad",
-                                             tile_rows=tile_rows))]
+                                             variant="prepad"))]
             # Wait until the worker has dequeued request 1 (a singleton
             # batch, so it runs _execute and parks on the gate) before
             # queueing the rest — they then dequeue as one micro-batch.
             taken.wait(10.0)
             handles += [
                 engine.submit(Request(app="gaussian", image=image,
-                                      variant="prepad", tile_rows=tile_rows))
+                                      variant="prepad"))
                 for _ in range(n - 1)
             ]
             time.sleep(0.05)
@@ -279,25 +344,13 @@ class TestKernelBatching:
         assert all(r.ok for r in responses)
         assert stats.get("engine.kernel_batches", 0) == 0
 
-    def test_tiled_requests_bypass_the_batched_path(self, image):
-        """tile_rows changes the evaluation strategy per request; such
-        batches fall back to per-request execution (still bit-identical)."""
-        with ServeEngine(workers=1, batch_size=8) as engine:
-            responses = self._run_gated(engine, image, tile_rows=7)
-            stats = engine.stats()["engine"]
-        assert all(r.ok for r in responses)
-        assert stats.get("engine.kernel_batches", 0) == 0
-        ref = _direct("gaussian", image, "clamp", variant="prepad")
-        for r in responses:
-            assert np.array_equal(r.output, ref)
-
     def test_batch_failure_falls_back_to_per_request_execution(self, image):
         """If the one-shot stacked call fails, the engine must retry the
         micro-batch request-by-request — batching can only ever speed
         things up, never change an outcome."""
         from repro.serve.plan import ExecutionPlan
 
-        def boom(self, images, *, tile_rows=None):
+        def boom(self, images):
             raise RuntimeError("injected batch failure")
 
         with pytest.MonkeyPatch.context() as mp:
@@ -365,20 +418,30 @@ def _expect_late_simt_result_discarded():
 
 
 class TestDegradation:
-    def test_compile_error_falls_back_to_naive(self, rng):
+    def test_degenerate_isp_serves_without_fallback(self, rng):
         # bilateral (5x5 window) on a 16x16 image with 32x4 blocks has a
-        # degenerate ISP geometry: strict "isp" planning raises CompileError
-        # and the engine must degrade to the naive plan, not fail.
+        # degenerate ISP geometry. No host tile lies inside the image, so
+        # the isp schedule stages every tile like naive, and the compiler
+        # collapses the ISP kernel to the naive one: an "isp" plan serves
+        # naive's bits on both paths, with no degradation to report.
         img = rng.random((16, 16), dtype=np.float32)
         with ServeEngine(workers=1) as engine:
-            resp = engine.run([Request(app="bilateral", image=img,
-                                       variant="isp")])[0]
-            stats = engine.stats()
-        assert resp.ok, resp.error
-        assert "compile:isp->naive" in resp.fallbacks
-        assert stats["engine"]["engine.fallbacks_compile"] == 1
-        assert np.array_equal(resp.output,
+            responses = engine.run([
+                Request(app="bilateral", image=img, variant=variant,
+                        exec_mode=mode)
+                for mode in ("vectorized", "simt")
+                for variant in ("isp", "naive")
+            ])
+        for resp in responses:
+            assert resp.ok, resp.error
+            assert resp.fallbacks == []
+        host_isp, host_naive, simt_isp, simt_naive = (
+            r.output for r in responses)
+        assert responses[0].variant == responses[2].variant == "isp"
+        assert np.array_equal(host_isp, host_naive)
+        assert np.array_equal(host_isp,
                               _direct("bilateral", img, "clamp", "naive"))
+        assert np.array_equal(simt_isp, simt_naive)
 
     def test_simt_timeout_falls_back_to_vectorized(self, rng):
         # Full SIMT simulation of 48x48 bilateral (25 taps, each with an

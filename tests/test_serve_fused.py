@@ -4,8 +4,8 @@ The engine contract (test_serve_engine docstring) extends to fusion: a
 ``variant="fused"`` request must return bits identical to staged execution,
 the geometry-only fused plan must be built once per content digest and
 replayed across requests and batch sizes, the autotuner must trial the
-fused arm and seed it from ``predict_fused``, and the cluster's digest
-routing must be independent of the chosen variant.
+fused arm, ``predict_fused`` must keep its crossover, and the cluster's
+digest routing must be independent of the chosen variant.
 """
 
 import numpy as np
@@ -16,7 +16,8 @@ from repro.filters import PIPELINES
 from repro.gpu import GTX680
 from repro.runtime import run_pipeline_vectorized
 from repro.serve import Request, ServeEngine
-from repro.serve.autotune import TUNE_CANDIDATES, pipeline_priors
+from repro.model import predict_fused
+from repro.serve.autotune import TUNE_CANDIDATES
 from repro.serve.plan import PLAN_VARIANTS, build_plan, trace_app
 
 
@@ -103,16 +104,15 @@ class TestFusedPlanObject:
 
 
 class TestFusedPrior:
-    def test_priors_include_fused_gain(self):
+    def test_sobel_prediction_favors_fusion(self):
         descs = trace_app("sobel", "clamp", 512, 512)
-        priors = pipeline_priors(descs, block=(32, 4), device=GTX680)
-        assert set(priors) == {"gain", "prepad_gain", "fused_gain"}
-        assert priors["fused_gain"] > 1.0  # sobel fuses profitably
+        pred = predict_fused(list(descs), block=(32, 4), device=GTX680)
+        assert pred.gain > 1.0  # sobel fuses profitably
 
-    def test_night_repeat_prior_disfavors_fusion(self):
+    def test_night_repeat_prediction_disfavors_fusion(self):
         descs = trace_app("night", "repeat", 512, 512)
-        priors = pipeline_priors(descs, block=(32, 4), device=GTX680)
-        assert priors["fused_gain"] < 1.0
+        pred = predict_fused(list(descs), block=(32, 4), device=GTX680)
+        assert pred.gain < 1.0
 
 
 class TestClusterRouting:
