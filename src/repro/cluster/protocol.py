@@ -36,7 +36,7 @@ import hashlib
 import json
 import socket
 import struct
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 

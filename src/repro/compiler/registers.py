@@ -42,7 +42,9 @@ import dataclasses
 import math
 from typing import Optional
 
+from ..ir.cfg import live_out
 from ..ir.function import KernelFunction
+from ..ir.types import DataType
 from .. import ir as _ir  # noqa: F401  (re-exported for tests' convenience)
 from ..gpu.device import DeviceSpec
 
@@ -72,51 +74,18 @@ def max_live_registers(func: KernelFunction) -> int:
     Predicates occupy predicate registers on real hardware, not the general
     file; they are excluded from the pressure count (PTX ``%p`` registers).
     """
-    blocks = func.blocks
-    index = {b.label: i for i, b in enumerate(blocks)}
-    succs: list[list[int]] = [
-        [index[s] for s in b.successor_labels()] for b in blocks
-    ]
-
     def counts(reg) -> bool:
-        from ..ir.types import DataType
-
         return reg.dtype is not DataType.PRED
 
-    # use[b]: read before written in b; defs[b]: written in b.
-    use_sets: list[set[str]] = []
-    def_sets: list[set[str]] = []
-    for b in blocks:
-        use: set[str] = set()
-        defs: set[str] = set()
-        for instr in b:
-            for r in instr.used_registers():
-                if counts(r) and r.name not in defs:
-                    use.add(r.name)
-            d = instr.defined_register()
-            if d is not None and counts(d):
-                defs.add(d.name)
-        use_sets.append(use)
-        def_sets.append(defs)
-
-    live_in: list[set[str]] = [set() for _ in blocks]
-    live_out: list[set[str]] = [set() for _ in blocks]
-    changed = True
-    while changed:
-        changed = False
-        for i in reversed(range(len(blocks))):
-            out: set[str] = set()
-            for s in succs[i]:
-                out |= live_in[s]
-            inn = use_sets[i] | (out - def_sets[i])
-            if out != live_out[i] or inn != live_in[i]:
-                live_out[i], live_in[i] = out, inn
-                changed = True
+    outs = live_out(func)
+    preds = {r.name for instr in func.instructions()
+             for r in (*instr.used_registers(), instr.defined_register())
+             if r is not None and not counts(r)}
 
     # Max pressure: walk each block backwards tracking the live set.
     peak = 0
-    for i, b in enumerate(blocks):
-        live = set(live_out[i])
+    for b in func.blocks:
+        live = outs[b.label] - preds
         peak = max(peak, len(live))
         for instr in reversed(b.instructions):
             d = instr.defined_register()

@@ -21,7 +21,7 @@ from .device import (
     DeviceSpec,
     get_device,
 )
-from .launch import LaunchConfig, execute_block, launch
+from .launch import LaunchConfig, launch
 from .memory import GlobalMemory, MemoryError_, transactions_for
 from .occupancy import OccupancyResult, compute_occupancy, registers_per_block
 from .profiler import EVENT_NAMES, BlockProfile, Profiler
@@ -51,7 +51,6 @@ __all__ = [
     "compute_occupancy",
     "cost_table_for",
     "estimate_time",
-    "execute_block",
     "get_device",
     "launch",
     "registers_per_block",

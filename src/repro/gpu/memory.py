@@ -100,9 +100,9 @@ class GlobalMemory:
 
     def gather(self, addrs: np.ndarray, mask: np.ndarray, dtype: DataType) -> np.ndarray:
         """Vector load: one value per active lane. Inactive lanes read 0."""
-        active = self._check_lane_addrs(addrs, mask)
+        words = self._lane_words_of(addrs, mask)
         out = np.zeros(addrs.shape, dtype=dtype.numpy_dtype)
-        out[mask] = self._words[active // 4].view(dtype.numpy_dtype)
+        out[mask] = self._words[words].view(dtype.numpy_dtype)
         return out
 
     def scatter(
@@ -115,9 +115,13 @@ class GlobalMemory:
         guaranteed to land" contract closely enough for these kernels, which
         never write the same pixel twice.
         """
-        active = self._check_lane_addrs(addrs, mask)
+        words = self._lane_words_of(addrs, mask)
         vals = values.astype(dtype.numpy_dtype, copy=False)
-        self._words[active // 4] = vals[mask].view(np.uint32)
+        self._words[words] = vals[mask].view(np.uint32)
+
+    def _lane_words_of(self, addrs: np.ndarray, mask: np.ndarray) -> np.ndarray:
+        """Word index of every active lane's checked address."""
+        return self._check_lane_addrs(addrs, mask) >> 2
 
     # ------------------------------------------------------------- validation
 
@@ -135,7 +139,7 @@ class GlobalMemory:
         if _faults._current is not None:
             # Fault point: a simulated redzone/OOB trap on an otherwise valid
             # access — exercises the same typed-failure path as a real hit.
-            # It fires once per access, for all the lanes of a block.
+            # It fires once per access, for all the lanes of a wave.
             if _faults.fire("gpu.memory.redzone", shadow=self.shadow) is not None:
                 raise MemoryError_(
                     "injected fault: shadow redzone hit (gpu.memory.redzone)"
@@ -171,6 +175,29 @@ class GlobalMemory:
                     f"an unhandled border access?"
                 )
         return active
+
+
+class SharedSlots(GlobalMemory):
+    """The shared scratchpads of a wave of threadblocks, one slot per block.
+
+    ``lane_slots[i]`` is the slot of lane ``i``. Every block addresses its
+    own slot as a memory of ``slot_bytes`` (:attr:`size_bytes`; an
+    allocation returns the same base in every slot), and a lane access is
+    checked against that size before it lands in the lane's slot.
+    Host-side :meth:`write_array` and :meth:`read_array` reach slot 0.
+    """
+
+    def __init__(self, slot_bytes: int, lane_slots: np.ndarray):
+        super().__init__(slot_bytes * (int(lane_slots.max()) + 1))
+        self._slot_bytes = slot_bytes
+        self._slot_words = lane_slots.astype(np.int64) * (slot_bytes // 4)
+
+    @property
+    def size_bytes(self) -> int:
+        return self._slot_bytes
+
+    def _lane_words_of(self, addrs: np.ndarray, mask: np.ndarray) -> np.ndarray:
+        return super()._lane_words_of(addrs, mask) + self._slot_words[mask]
 
 
 def transactions_for(addrs: np.ndarray, mask: np.ndarray) -> int:
@@ -212,7 +239,7 @@ def _sorted_per_warp(values: np.ndarray, mask: np.ndarray, warp_size: int) -> np
 
 
 def warp_transactions(addrs: np.ndarray, mask: np.ndarray, warp_size: int) -> np.ndarray:
-    """:func:`transactions_for` of every warp of a block at once.
+    """:func:`transactions_for` of every warp of a wave at once.
 
     ``addrs`` and ``mask`` hold ``n_warps * warp_size`` lanes, warp after
     warp; the result holds one count per warp (0 for a warp with no active
@@ -227,7 +254,7 @@ def warp_transactions(addrs: np.ndarray, mask: np.ndarray, warp_size: int) -> np
 
 
 def warp_bank_conflicts(addrs: np.ndarray, mask: np.ndarray, warp_size: int) -> np.ndarray:
-    """:func:`bank_conflicts` of every warp of a block at once (lanes laid
+    """:func:`bank_conflicts` of every warp of a wave at once (lanes laid
     out as for :func:`warp_transactions`)."""
     words = _sorted_per_warp(addrs.astype(np.int64, copy=False) >> 2, mask,
                              warp_size)

@@ -91,7 +91,7 @@ def launch_stages(
     runs under its own :class:`Profiler` on that device's cost table and,
     when tracing, records a ``launch:<name>`` span carrying ``variant`` and
     the profiler's counters; without one, kernels launch unprofiled.
-    ``abort`` is polled by the block executor.
+    ``abort`` is polled by the wave executor.
     """
     kernels = [k for _, _, k in stages]
     if memory_bytes is None:

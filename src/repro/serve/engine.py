@@ -65,7 +65,6 @@ from .cache import PlanCache
 from .metrics import MetricsRegistry
 from .plan import (
     EXEC_MODES,
-    PLAN_VARIANTS,
     REQUEST_VARIANTS,
     ExecutionPlan,
     build_plan,
@@ -639,7 +638,7 @@ class ServeEngine:
         if the simulation thread has finished by then: a late result is
         discarded, and its counters are not counted. Python threads cannot
         be killed, so an over-budget simulation is *abandoned* — but not
-        left running to completion: the block executor polls the ``abort``
+        left running to completion: the wave executor polls the ``abort``
         event and bails out cooperatively, so the zombie thread stops
         burning CPU within a few thousand instructions instead of finishing
         a result nobody will read.

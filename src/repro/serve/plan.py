@@ -304,7 +304,7 @@ class ExecutionPlan:
         """Full functional SIMT simulation (slow; the engine guards it with a
         timeout and falls back to :meth:`execute`).
 
-        ``abort`` is polled by the block executor: setting it makes an
+        ``abort`` is polled by the wave executor: setting it makes an
         abandoned over-deadline simulation stop instead of running to
         completion in a zombie thread. ``collect``, when given, receives one
         ``(kernel_name, variant, Profiler)`` triple per launch — the engine

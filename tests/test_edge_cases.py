@@ -85,9 +85,10 @@ class TestProfilerInvariants:
             prof.issue_cycles
         )
 
-    def test_end_block_without_begin(self):
+    def test_end_wave_without_begin(self):
         with pytest.raises(RuntimeError):
-            Profiler().end_block()
+            Profiler().end_wave(np.zeros((0, 0), dtype=np.int64), (),
+                                np.zeros(0, dtype=np.int64))
 
 
 class TestPrinterTotality:

@@ -144,7 +144,7 @@ class TestCoalescing:
 
 
 class TestPerWarpCounts:
-    """The block executor counts all warps of a block in one call; every
+    """The wave executor counts every warp of a wave in one call; every
     warp's count must equal the one-warp model applied to that warp alone."""
 
     @settings(max_examples=150, deadline=None)

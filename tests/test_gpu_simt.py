@@ -10,7 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.gpu import GlobalMemory, LaunchConfig, Profiler, launch
-from repro.gpu.simt import SimtError, _apply, _trunc_div, _trunc_rem
+from repro.gpu.memory import MemoryError_
+from repro.gpu.simt import SimtAbort, SimtError, _apply, _trunc_div, _trunc_rem, decode
+from repro.gpu.simt import _h_kill_dead as simt_kill_dead
 from repro.ir import (
     CmpOp,
     DataType,
@@ -202,15 +204,14 @@ class TestDivergence:
         b.br("entry2")
         func = b.finish()
         mem = GlobalMemory(1 << 12)
-        from repro.gpu.launch import execute_block
         import repro.gpu.simt as simt_mod
 
         old = simt_mod.MAX_WARP_INSTRUCTIONS
         simt_mod.MAX_WARP_INSTRUCTIONS = 1000
         try:
             with pytest.raises(SimtError, match="runaway"):
-                execute_block(func, LaunchConfig((1, 1), (32, 1)), (0, 0), mem,
-                              {"out_ptr": 128})
+                launch(func, LaunchConfig((1, 1), (32, 1)), mem,
+                       {"out_ptr": 128}, blocks=[((0, 0), None)])
         finally:
             simt_mod.MAX_WARP_INSTRUCTIONS = old
 
@@ -229,12 +230,12 @@ class TestDivergence:
         _store(b, out, tid, Register("d", DataType.S32))
         b.exit()
         func = b.finish()
+        func.decoded = decode(func)  # a decoded function launches unverified
         mem = GlobalMemory(1 << 12)
-        from repro.gpu.launch import execute_block
 
         with pytest.raises(SimtError, match="undefined register"):
-            execute_block(func, LaunchConfig((1, 1), (32, 1)), (0, 0), mem,
-                          {"out_ptr": 128})
+            launch(func, LaunchConfig((1, 1), (32, 1)), mem,
+                   {"out_ptr": 128}, blocks=[((0, 0), None)])
 
 
 class TestSpecialRegisters:
@@ -544,3 +545,222 @@ class TestLockStepBlocks:
             for field in dataclasses.fields(table):
                 doubled = 2 * getattr(table, field.name)
                 assert doubled == int(doubled), (table, field.name)
+
+
+def _barrier_kernel(name, first, second, *, parked=False):
+    """``if (tid.x < 16 + 16 * ctaid.x) goto first; else goto second``, where
+    "sync" runs ``bar.sync`` and stores tid + 100 * ctaid, and "quit"
+    exits (or, ``parked``, branches to the exit block to wait there). In
+    block 0 the branch splits the block's lanes; in block 1 it does not."""
+    b = IRBuilder(name, _out_param())
+    b.new_block("entry")
+    out = b.ld_param("out_ptr")
+    tid = b.special(SpecialReg.TID_X)
+    cx = b.special(SpecialReg.CTAID_X)
+    gid = b.add(b.mul(cx, 32), tid)
+    p = b.setp(CmpOp.LT, tid, b.add(b.mul(cx, 16), 16))
+    b.cbr(p, first, second)
+    b.new_block("quit")
+    b.br("end") if parked else b.exit()
+    b.new_block("sync")
+    b.bar()
+    _store(b, out, gid, b.add(tid, b.mul(cx, 100)))
+    b.br("end") if parked else b.exit()
+    if parked:
+        b.new_block("end")
+        b.exit()
+    func = b.finish()
+    func.metadata["shared_bytes"] = 64
+    return func
+
+
+class TestWaves:
+    """Blocks run in waves of one lane vector; every contract stays per
+    block."""
+
+    def _launch(self, func, n_blocks=2, block=32, profiler=None, abort=None):
+        mem = GlobalMemory(1 << 16)
+        out = mem.alloc(n_blocks * block * 4)
+        launch(func, LaunchConfig((n_blocks, 1), (block, 1)), mem,
+               {"out_ptr": out}, profiler, abort=abort)
+        return mem.read_array(out, (n_blocks * block,), DataType.S32)
+
+    def test_barrier_after_block_aligned_split_runs(self):
+        # Block 0 takes "sync", block 1 "quit": the wave splits, but no block
+        # does, so the barrier is the per-block __syncthreads it should be.
+        b = IRBuilder("aligned", _out_param())
+        b.new_block("entry")
+        out = b.ld_param("out_ptr")
+        tid = b.special(SpecialReg.TID_X)
+        cx = b.special(SpecialReg.CTAID_X)
+        p = b.setp(CmpOp.EQ, cx, 0)
+        b.cbr(p, "sync", "other")
+        b.new_block("other")
+        b.bar()
+        _store(b, out, b.add(tid, 32), b.imm(7, DataType.S32))
+        b.exit()
+        b.new_block("sync")
+        b.bar()
+        _store(b, out, tid, tid)
+        b.exit()
+        func = b.finish()
+        func.metadata["shared_bytes"] = 64
+        got = self._launch(func)
+        assert list(got) == list(range(32)) + [7] * 32
+
+    def test_barrier_inside_a_split_block_raises(self):
+        # Block 0's "quit" lanes are still pending when its "sync" lanes
+        # reach the barrier; block 1 is whole, but block 0 is not.
+        with pytest.raises(SimtError, match="bar.sync in divergent control flow"):
+            self._launch(_barrier_kernel("split", "sync", "quit"))
+
+    def test_barrier_after_the_other_side_finished_raises(self):
+        # Block 0's "quit" lanes ran first and wait at the exit block, so the
+        # split is still open when its "sync" lanes reach the barrier.
+        with pytest.raises(SimtError, match="bar.sync in divergent control flow"):
+            self._launch(_barrier_kernel("parked", "quit", "sync", parked=True))
+
+    def test_barrier_while_lanes_wait_at_an_outer_reconvergence_raises(self):
+        # Block 0 alone takes "inner", whose branch splits it and reconverges
+        # where the block-aligned outer branch does: block 0's first lanes
+        # wait there under an entry that split no block.
+        b = IRBuilder("nested", _out_param())
+        b.new_block("entry")
+        out = b.ld_param("out_ptr")
+        tid = b.special(SpecialReg.TID_X)
+        cx = b.special(SpecialReg.CTAID_X)
+        b.cbr(b.setp(CmpOp.EQ, cx, 0), "inner", "join")
+        b.new_block("inner")
+        b.cbr(b.setp(CmpOp.LT, tid, 16), "join", "sync")
+        b.new_block("sync")
+        b.bar()
+        _store(b, out, tid, tid)
+        b.br("join")
+        b.new_block("join")
+        b.exit()
+        func = b.finish()
+        func.metadata["shared_bytes"] = 64
+        with pytest.raises(SimtError, match="bar.sync in divergent control flow"):
+            self._launch(func)
+
+    def test_barrier_after_the_other_side_exited_runs(self):
+        # Block 0's "quit" lanes ran ``exit`` first: every live lane of the
+        # block reaches the barrier together, the verdict of one block alone.
+        got = self._launch(_barrier_kernel("exited", "quit", "sync"))
+        # block 1's lanes all take "quit" (tid < 32), so they store nothing
+        assert list(got) == [0] * 16 + list(range(16, 32)) + [0] * 32
+
+    def test_shared_slots_are_per_block(self):
+        # Each block fills the top of its slot with its own values, syncs
+        # and reads them back; then one lane reaches 4 bytes past the slot.
+        slot = 1 << max(10, (64 + 256).bit_length())
+
+        def kernel(past_end):
+            b = IRBuilder("slots", _out_param())
+            b.new_block("entry")
+            out = b.ld_param("out_ptr")
+            tid = b.special(SpecialReg.TID_X)
+            cx = b.special(SpecialReg.CTAID_X)
+            top = slot + 4 if past_end else slot
+            addr = b.cvt(b.sub(top - 4, b.shl(tid, 2)), DataType.U32)
+            b.sts(addr, b.add(tid, b.mul(cx, 100)), DataType.S32)
+            b.bar()
+            v = b.lds(addr, DataType.S32)
+            _store(b, out, b.add(b.mul(cx, 32), tid), v)
+            b.exit()
+            func = b.finish()
+            func.metadata["shared_bytes"] = 64
+            return func
+
+        got = self._launch(kernel(past_end=False))
+        assert list(got) == list(range(32)) + list(range(100, 132))
+        with pytest.raises(MemoryError_, match=f"out of bounds .memory is {slot} bytes"):
+            self._launch(kernel(past_end=True))
+
+    @pytest.mark.parametrize("device", ["GTX680", "VEGA64"])
+    def test_full_grid_block_profiles_match_class_profiles(self, device):
+        from repro.compiler import Variant
+        from repro.gpu import cost_table_for, get_device
+        from repro.runtime import profile_kernel
+        from repro.serve import trace_app
+
+        dev = get_device(device)
+        desc = trace_app("laplace", "repeat", 64, 64)[0]
+        kp = profile_kernel(desc, variant=Variant.ISP, device=dev,
+                            use_cache=False)
+        ck, geom = kp.compiled, kp.compiled.geometry
+        mem = GlobalMemory(1 << 16)
+        bases = {desc.accessors[0].image.name: mem.alloc(64 * 64 * 4),
+                 desc.output_name: mem.alloc(64 * 64 * 4)}
+        prof = Profiler(cost_table_for(dev))
+        launch(ck.func, ck.launch_config, mem, ck.param_values(bases), prof)
+        gx, gy = geom.grid
+        assert [p.block_idx for p in prof.block_profiles] == [
+            (x, y) for y in range(gy) for x in range(gx)]
+
+        def axis(i, low, high, total, name):
+            if i < low:
+                return f"{name}L{i}"
+            return f"{name}M" if i < high else f"{name}R{total - i}"
+
+        for got in prof.block_profiles:
+            x, y = got.block_idx
+            name = (f"{axis(x, geom.bh_l, geom.bh_r, gx, 'x')}|"
+                    f"{axis(y, geom.bh_t, geom.bh_b, gy, 'y')}")
+            want = kp.profiles[name]
+            assert dataclasses.replace(got, block_idx=want.block_idx,
+                                       block_class=want.block_class) == want
+
+    def test_register_read_on_both_paths_survives_the_first_paths_kills(self):
+        # v dies after each arm's read, but the first arm runs under half
+        # the mask: dropping v there would lose it for the second arm.
+        b = IRBuilder("bothpaths", _out_param())
+        b.new_block("entry")
+        out = b.ld_param("out_ptr")
+        tid = b.special(SpecialReg.TID_X)
+        v = b.mul(tid, 3)
+        w = b.fresh_reg(DataType.S32, "w")
+        p = b.setp(CmpOp.LT, tid, 16)
+        b.cbr(p, "low", "high")
+        b.new_block("low")
+        b.mov_to(w, b.add(v, 1))
+        b.br("join")
+        b.new_block("high")
+        b.mov_to(w, b.add(v, 2))
+        b.br("join")
+        b.new_block("join")
+        _store(b, out, tid, w)
+        b.exit()
+        func = b.finish()
+        got = self._launch(func, n_blocks=1)
+        tids = np.arange(32)
+        assert list(got) == list(3 * tids + np.where(tids < 16, 1, 2))
+        # the read in each arm is v's last, so decoding placed a kill there
+        for arm in ("low", "high"):
+            (_, _, ops, _), = func.decoded.blocks[arm][0]
+            assert any(op[0] is simt_kill_dead and v.name in op[1] for op in ops)
+
+    def test_abort_between_waves_stops_the_launch(self):
+        from repro.gpu import simt
+
+        class AbortAfterFirstWave(Profiler):
+            def end_wave(self, *args):
+                abort.set()
+                return super().end_wave(*args)
+
+        b = IRBuilder("waves", _out_param())
+        b.new_block("entry")
+        out = b.ld_param("out_ptr")
+        tid = b.special(SpecialReg.TID_X)
+        cx = b.special(SpecialReg.CTAID_X)
+        _store(b, out, b.add(b.mul(cx, 32), tid), b.imm(1, DataType.S32))
+        b.exit()
+        per_wave = simt.WAVE_LANES // 32
+        abort = threading.Event()
+        mem = GlobalMemory(1 << 16)
+        out_addr = mem.alloc((per_wave + 1) * 32 * 4)
+        with pytest.raises(SimtAbort, match=f"before block \\({per_wave}, 0\\)"):
+            launch(b.finish(), LaunchConfig((per_wave + 1, 1), (32, 1)), mem,
+                   {"out_ptr": out_addr}, AbortAfterFirstWave(), abort=abort)
+        got = mem.read_array(out_addr, ((per_wave + 1) * 32,), DataType.S32)
+        assert got[:per_wave * 32].all() and not got[per_wave * 32:].any()

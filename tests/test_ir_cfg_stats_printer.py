@@ -1,5 +1,8 @@
 """Unit tests for CFG analyses, instruction statistics, and the printer."""
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from repro.ir import (
     CmpOp,
     DataType,
@@ -55,8 +58,8 @@ def loop():
 class TestCfg:
     def test_diamond_edges(self):
         g = build_cfg(diamond())
-        assert set(g.successors("entry")) == {"then", "els"}
-        assert set(g.successors("join")) == {VIRTUAL_EXIT}
+        assert set(g["entry"]) == {"then", "els"}
+        assert set(g["join"]) == {VIRTUAL_EXIT}
 
     def test_diamond_ipdom(self):
         ipd = immediate_postdominators(diamond())
@@ -72,6 +75,76 @@ class TestCfg:
         assert back_edges(f) == {("body", "head")}
         assert has_loops(f)
         assert not has_loops(diamond())
+
+
+@st.composite
+def random_cfgs(draw):
+    """Functions of 1-8 blocks, each exiting, branching or branching
+    conditionally to any block: loops, unreachable blocks and loops that
+    never exit all occur."""
+    n_blocks = draw(st.integers(1, 8))
+    labels = [f"b{i}" for i in range(n_blocks)]
+    target = st.sampled_from(labels)
+    b = IRBuilder("random", [Param("n", DataType.S32)])
+    for i, label in enumerate(labels):
+        b.new_block(label)
+        kind = draw(st.sampled_from(["exit", "br", "cbr"]))
+        if kind == "exit":
+            b.exit()
+        elif kind == "br":
+            b.br(draw(target))
+        else:
+            p = b.setp(CmpOp.GT, b.ld_param("n"), i)
+            b.cbr(p, draw(target), draw(target))
+    return b.finish()
+
+
+def textbook_ipdoms(func):
+    """Immediate post-dominators from the set fixpoint
+    pdom(n) = {n} | intersection of pdom(s) over the successors s, on the
+    blocks reachable from the entry plus the virtual exit. A block that
+    cannot reach the exit has no post-dominator (None)."""
+    succs = {blk.label: blk.successor_labels() or [VIRTUAL_EXIT]
+             for blk in func.blocks}
+    succs[VIRTUAL_EXIT] = []
+    keep, todo = {func.entry.label}, [func.entry.label]
+    while todo:
+        for s in succs[todo.pop()]:
+            if s not in keep:
+                keep.add(s)
+                todo.append(s)
+    pdom = {n: set(keep) for n in keep}
+    pdom[VIRTUAL_EXIT] = {VIRTUAL_EXIT} if VIRTUAL_EXIT in keep else set(keep)
+    changed = True
+    while changed:
+        changed = False
+        for n in keep - {VIRTUAL_EXIT}:
+            new = {n} | set.intersection(*(pdom[s] for s in succs[n]))
+            if new != pdom[n]:
+                pdom[n], changed = new, True
+    exits = {VIRTUAL_EXIT} & keep  # the blocks that can reach the exit
+    changed = True
+    while changed:
+        grown = {n for n in keep if exits & set(succs[n])}
+        changed = not grown <= exits
+        exits |= grown
+    result = {}
+    for n in keep - {VIRTUAL_EXIT}:
+        if n not in exits:
+            result[n] = None
+            continue
+        strict = pdom[n] - {n}
+        # the strict post-dominator that every other one post-dominates
+        (ipdom,) = [d for d in strict if pdom[d] == strict]
+        result[n] = None if ipdom == VIRTUAL_EXIT else ipdom
+    return result
+
+
+class TestCfgOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(func=random_cfgs())
+    def test_ipdoms_match_the_set_fixpoint(self, func):
+        assert immediate_postdominators(func) == textbook_ipdoms(func)
 
 
 class TestStats:
